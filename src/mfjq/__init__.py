@@ -3,21 +3,17 @@
 __version__ = "0.1.0"
 
 from .measures import (GridMeasure, ParticleMeasure, SupportBall, barycenter,
-                       moment, pushforward, sup_norm, total_mass, translate,
-                       wasserstein_1d)
-from .kernels import (HKKernel, InteractionKernel, constant_kernel, eval_phi,
-                      divergence_sup, make_kernel, nonlocal_field,
-                      truncate_to_ball)
-from .lyapunov import (MomentFunctional, TargetSet, diff_bound_check,
-                       distance_to_target, lie_derivative,
+                       moment, sup_norm, total_mass, translate, wasserstein_1d)
+from .kernels import (HKKernel, InteractionKernel, constant_kernel, make_kernel,
+                      nonlocal_field)
+from .lyapunov import (MomentFunctional, lie_derivative,
                        lie_derivative_fd_oracle, value, variance_about)
 from .controller import (ActiveControl, BumpParams, ControlDecision,
-                         ControllerState, SearchConfig, admissible, bump_1d,
-                         bump_nd, control_function, decide, decide_multi,
+                         ControllerState, SearchConfig, bump_1d, decide_multi,
                          search_maximizer, slope)
-from .solver import (Dynamics, FlowMap, SolverConfig, SupportEscapeError,
-                     TrajectoryLog, check_linf_bound, evolve, stability_probe,
-                     step_grid, step_particles)
+from .solver import (Dynamics, SolverConfig, SupportEscapeError, TrajectoryLog,
+                     check_linf_bound, evolve, stability_probe, step_grid,
+                     step_particles)
 from .scenarios import (ClusterReport, ScenarioSpec, detect_clusters,
                         run_concentration_demo, run_hk_controlled,
                         run_hk_uncontrolled)

@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--dt", type=float)
     run.add_argument("--cells", type=int)
-    run.add_argument("--backend", choices=("grid", "particles"))
     run.add_argument("--t-end", dest="t_end", type=float)
     run.add_argument("--h", type=float)
     run.add_argument("--c", type=float)
@@ -50,8 +49,8 @@ def _load_spec(args) -> ScenarioSpec:
     else:
         spec = ScenarioSpec.builtin(args.scenario)
     return spec.apply_overrides(seed=args.seed, dt=args.dt, cells=args.cells,
-                                backend=args.backend, t_end=args.t_end,
-                                h=args.h, c=args.c, kappa=args.kappa)
+                                t_end=args.t_end, h=args.h, c=args.c,
+                                kappa=args.kappa).validate()
 
 
 def _write_outputs(out: Path, spec: ScenarioSpec, log, extra: dict) -> None:
@@ -70,7 +69,7 @@ def _write_outputs(out: Path, spec: ScenarioSpec, log, extra: dict) -> None:
 def cmd_run(args) -> int:
     try:
         spec = _load_spec(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -79,7 +78,7 @@ def cmd_run(args) -> int:
             sched = default_epsilon_schedule(conc["c"], conc.get("n_intervals", 20))
             log, report = run_concentration_demo(
                 conc["c"], sched, n_particles=conc.get("n_particles", 5000),
-                dt=spec.dt, seed=spec.seed)
+                dt=spec.dt)
             extra = dict(max_omega_mass=float(report["omega_mass"].max()),
                          final_window_mass=float(report["window_mass"][-1]))
         elif spec.controller is not None:

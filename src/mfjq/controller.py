@@ -42,49 +42,30 @@ def bump_1d(a: float, b: float, eta: float, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BumpParams:
-    """The triple (a, b, eta); a and b are d-vectors, eta a scalar width."""
+    """The triple (a, b, eta): plateau [a, b] and ramp width eta."""
 
-    a: np.ndarray
-    b: np.ndarray
+    a: float
+    b: float
     eta: float
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if a.shape != b.shape:
-            raise ValueError("a and b must have the same dimension")
-        if np.any(a > b + 1e-15):
-            raise ValueError("bump requires a <= b componentwise")
+        for name in ("a", "b", "eta"):
+            # a scalar or a one-element array; a longer array raises ValueError
+            value = np.asarray(getattr(self, name), dtype=float).item()
+            object.__setattr__(self, name, value)
+        if self.a > self.b + 1e-15:
+            raise ValueError("bump requires a <= b")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
 
     @property
-    def dim(self) -> int:
-        return self.a.size
-
-    @property
     def volume(self) -> float:
-        """Lebesgue measure of the support box omega = prod [a_i-eta, b_i+eta]."""
-        return float(np.prod(self.b - self.a + 2.0 * self.eta))
+        """Length of the support omega = [a - eta, b + eta]."""
+        return self.b - self.a + 2.0 * self.eta
 
     @property
-    def omega(self) -> tuple[np.ndarray, np.ndarray]:
+    def omega(self) -> tuple[float, float]:
         return self.a - self.eta, self.b + self.eta
-
-
-def bump_nd(params: BumpParams, x) -> np.ndarray:
-    """Componentwise minimum of 1D bumps."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and params.dim == 1:
-        return bump_1d(params.a[0], params.b[0], params.eta, x)
-    x2 = np.atleast_2d(x)
-    if x2.shape[-1] != params.dim:
-        raise ValueError("dimension mismatch between x and bump parameters")
-    vals = [bump_1d(params.a[i], params.b[i], params.eta, x2[..., i])
-            for i in range(params.dim)]
-    return np.minimum.reduce(vals)
 
 
 @dataclass(frozen=True)
@@ -94,16 +75,8 @@ class ActiveControl:
     field_index: int = 0
 
     def u(self, x) -> np.ndarray:
-        return self.sign * bump_nd(self.params, x)
-
-
-def control_function(params: BumpParams, sign: int):
-    """Return (u, omega, |omega|) for a signed bump.
-
-    ||u||_inf <= 1 and Lip(u) = 1/eta hold by construction.
-    """
-    ctrl = ActiveControl(params, sign)
-    return ctrl.u, params.omega, params.volume
+        p = self.params
+        return self.sign * bump_1d(p.a, p.b, p.eta, x)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +117,7 @@ class SlopeEvaluator:
         return left + mid + right
 
     def signed(self, params: BumpParams) -> float:
-        return float(self.signed_batch(params.a[0], params.b[0], params.eta))
+        return float(self.signed_batch(params.a, params.b, params.eta))
 
     def slope(self, params: BumpParams) -> float:
         return abs(self.signed(params))
@@ -218,13 +191,6 @@ class ControlDecision:
     candidate_slope: float = 0.0  # slope of the challenger at a hysteresis switch
 
 
-def admissible(params: BumpParams, t: float, state: ControllerState,
-               strict: bool = False) -> bool:
-    """Membership in the admissible set (strict=True for the tighter eta bound)."""
-    vol_ok = params.volume <= state.c + 1e-12
-    return vol_ok and params.eta >= state.eta_min(t, strict) - 1e-12
-
-
 def _candidate_grid(state: ControllerState, t: float, strict: bool):
     eta_lo = state.eta_min(t, strict)
     eta_hi = state.c / 2.0
@@ -287,7 +253,7 @@ def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
     if best is None:
         return None
     s, i, a, b, eta, signed = best
-    return BumpParams(np.array([a]), np.array([b]), eta), i, s, signed
+    return BumpParams(a, b, eta), i, s, signed
 
 
 def _refine_grid(state: ControllerState, t: float, strict: bool,
@@ -373,8 +339,3 @@ def decide_multi(t: float, mu: Measure, state: ControllerState,
     return (ControlDecision(ctrl, False, best_slope=best,
                             current_slope=s_cur), state)
 
-
-def decide(t: float, mu: Measure, state: ControllerState, g_field: Callable,
-           V: MomentFunctional) -> tuple[ControlDecision, ControllerState]:
-    """Single-field controller query (degenerate case of decide_multi)."""
-    return decide_multi(t, mu, state, (g_field,), V)

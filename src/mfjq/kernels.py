@@ -7,7 +7,6 @@ over cells (one atom per cell).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,45 +106,12 @@ class HKKernel:
                                  support_radius=1.0 + eps, name="hk")
 
 
-def eval_phi(kernel: HKKernel, r) -> np.ndarray:
-    return kernel.phi(r)
-
-
-def table_kernel(path) -> InteractionKernel:
-    """Piecewise-linear rule of the displacement y - x, loaded from CSV.
-
-    The file has columns ``r,value``; the rule is zero outside the tabulated
-    range.
-    """
-    rs, vs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rs.append(float(row["r"]))
-            vs.append(float(row["value"]))
-    rs = np.asarray(rs)
-    vs = np.asarray(vs)
-    order = np.argsort(rs)
-    rs, vs = rs[order], vs[order]
-
-    def rule(x, y):
-        return np.interp(y - x, rs, vs, left=0.0, right=0.0)
-
-    dr = np.diff(rs)
-    L = float(np.max(np.abs(np.diff(vs) / dr))) if dr.size else 0.0
-    M = float(np.max(np.abs(vs)))
-    radius = float(max(abs(rs[0]), abs(rs[-1])))
-    return InteractionKernel(rule=rule, lipschitz_L=L, bound_M=M,
-                             support_radius=radius, name="custom_table")
-
-
 def make_kernel(name: str, **params) -> InteractionKernel:
     """Kernel registry used by run configs."""
     if name == "hk":
         return HKKernel(epsilon=params.get("epsilon", 0.05)).interaction()
     if name == "constant_g":
         return constant_kernel(params.get("value", 1.0))
-    if name == "custom_table":
-        return table_kernel(params["path"])
     raise KeyError(f"unknown kernel {name!r}")
 
 
@@ -163,24 +129,3 @@ def ball_cutoff(x, ball: SupportBall, taper: float) -> np.ndarray:
     """Lipschitz cutoff: 1 inside B(0, R - taper), 0 outside B(0, R)."""
     r = np.abs(np.asarray(x, dtype=float))
     return np.clip((ball.radius - r) / taper, 0.0, 1.0)
-
-
-def truncate_to_ball(field: Callable, ball: SupportBall,
-                     taper: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Multiply a velocity field by the ball cutoff so it vanishes outside B(0, R)."""
-    if not taper > 0:
-        raise ValueError("taper must be positive")
-    if taper >= ball.radius:
-        raise ValueError("taper must be smaller than the ball radius")
-
-    def truncated(x):
-        return np.asarray(field(x), dtype=float) * ball_cutoff(x, ball, taper)
-
-    return truncated
-
-
-def divergence_sup(field: Callable, sample_grid: np.ndarray) -> float:
-    """Max |d field / dx| on a 1D sample grid (centered finite differences)."""
-    x = np.asarray(sample_grid, dtype=float)
-    v = np.asarray(field(x), dtype=float)
-    return float(np.max(np.abs(np.gradient(v, x))))

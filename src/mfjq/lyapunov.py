@@ -9,12 +9,11 @@ pushes the measure along the frozen field (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .measures import (Measure, ParticleMeasure, as_atoms, moment,
-                       wasserstein_1d)
+from .measures import Measure, as_atoms, moment
 
 
 @dataclass(frozen=True)
@@ -42,24 +41,6 @@ def variance_about(center: float, radius: float, g_bound: float = 1.0) -> Moment
     return MomentFunctional(v=lambda x: (x - c) ** 2,
                             v_prime=lambda x: 2.0 * (x - c),
                             k_bound=k, name="variance0" if c == 0.0 else "variance")
-
-
-def abs_moment(radius: float, g_bound: float = 1.0, smooth: float = 1e-6) -> MomentFunctional:
-    """Diagnostic v(x) = |x| with derivative smoothed near 0."""
-    return MomentFunctional(v=np.abs,
-                            v_prime=lambda x: x / np.sqrt(x * x + smooth * smooth),
-                            k_bound=g_bound, name="abs_moment")
-
-
-def make_functional(name: str, radius: float, g_bound: float = 1.0,
-                    center: float = 0.0) -> MomentFunctional:
-    if name == "variance0":
-        return variance_about(0.0, radius, g_bound)
-    if name == "variance":
-        return variance_about(center, radius, g_bound)
-    if name == "abs_moment":
-        return abs_moment(radius, g_bound)
-    raise KeyError(f"unknown functional {name!r}")
 
 
 def value(V: MomentFunctional, mu: Measure) -> float:
@@ -99,31 +80,3 @@ def lie_derivative_fd_oracle(V: MomentFunctional, field: Callable, mu: Measure,
     vp = float(np.dot(np.asarray(V.v(xp)), w))
     vm = float(np.dot(np.asarray(V.v(xm)), w))
     return (vp - vm) / (2.0 * tau)
-
-
-def diff_bound_check(V: MomentFunctional, u: Callable, g_field: Callable,
-                     mu: Measure, slack: float = 1e-12) -> bool:
-    """|rate along u*g| <= k_bound * integral |u| d mu, up to roundoff slack."""
-    lhs = abs(lie_derivative(V, lambda x: np.asarray(u(x)) * np.asarray(g_field(x)), mu))
-    rhs = V.k_bound * moment(mu, lambda x: np.abs(u(x)))
-    return lhs <= rhs + slack
-
-
-@dataclass(frozen=True)
-class TargetSet:
-    """Finite family of target measures; proximity is the W_1 infimum."""
-
-    measures: Sequence[Measure]
-    description: str = ""
-
-    def __post_init__(self):
-        if len(self.measures) == 0:
-            raise ValueError("target set must be nonempty")
-
-    @classmethod
-    def dirac(cls, x: float) -> "TargetSet":
-        return cls((ParticleMeasure.dirac(x),), description=f"dirac at {x}")
-
-
-def distance_to_target(mu: Measure, target: TargetSet) -> float:
-    return min(wasserstein_1d(mu, nu, 1.0) for nu in target.measures)

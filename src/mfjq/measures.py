@@ -1,25 +1,24 @@
-"""Compactly supported probability measures on the line (and particle clouds in R^d).
+"""Compactly supported probability measures on the line.
 
 Two representations are used throughout:
 
 * :class:`GridMeasure` -- cell masses on a uniform 1D grid (finite-volume
   convention: storing masses, not point densities, makes conservation exact
   by construction), each with the centroid of the mass inside its cell.
-* :class:`ParticleMeasure` -- a weighted empirical measure in dimension d.
+* :class:`ParticleMeasure` -- a weighted empirical measure.
 
 On top of these we provide moments (midpoint quadrature on grids, weighted
-sums on particles), push-forwards, sup-norms and the 1D p-Wasserstein
-distance computed through quantile functions.
+sums on particles), sup-norms and the 1D p-Wasserstein distance computed
+through quantile functions.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-MASS_TOL = 1e-12
 _NEG_TOL = 1e-12
 
 
@@ -125,50 +124,37 @@ class GridMeasure:
 
 @dataclass(frozen=True)
 class ParticleMeasure:
-    """Weighted empirical measure sum_i w_i delta_{x_i} in dimension d."""
+    """Weighted empirical measure sum_i w_i delta_{x_i} on the line."""
 
-    positions: np.ndarray  # shape (n, d)
-    weights: np.ndarray    # shape (n,)
+    x: np.ndarray        # shape (n,); an (n, 1) column is flattened
+    weights: np.ndarray  # shape (n,)
 
     def __post_init__(self):
-        pos = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        if pos.ndim == 1:
-            pos = pos[:, None]
+        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        if x.ndim == 2 and x.shape[1] == 1:
+            x = x[:, 0]
+        if x.ndim != 1:
+            raise ValueError(f"positions must have shape (n,) or (n, 1), got {x.shape}")
         w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "weights", w)
-        if pos.shape[0] != w.shape[0]:
+        if x.shape != w.shape:
             raise ValueError("positions and weights length mismatch")
         if w.min() < -_NEG_TOL:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"total mass {w.sum()!r} is not 1")
 
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        """1D positions as a flat array (dim-1 measures only)."""
-        if self.dim != 1:
-            raise ValueError("flat positions only defined in dimension 1")
-        return self.positions[:, 0]
-
     @classmethod
-    def dirac(cls, x) -> "ParticleMeasure":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return cls(x[None, :], np.array([1.0]))
+    def dirac(cls, x: float) -> "ParticleMeasure":
+        return cls(np.array([float(x)]), np.array([1.0]))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if self.dim == 1:
-                w.writerow(["x", "weight"])
-            else:
-                w.writerow([f"x{i}" for i in range(self.dim)] + ["weight"])
-            for p, wt in zip(self.positions, self.weights):
-                w.writerow([f"{v:.12g}" for v in p] + [f"{wt:.12g}"])
+            w.writerow(["x", "weight"])
+            for x, wt in zip(self.x, self.weights):
+                w.writerow([f"{x:.12g}", f"{wt:.12g}"])
 
 
 Measure = Union[GridMeasure, ParticleMeasure]
@@ -197,11 +183,7 @@ def moment(mu: Measure, v: Callable[[np.ndarray], np.ndarray]) -> float:
     """Integral of v against mu (midpoint rule on grids, O(dx^2))."""
     if isinstance(mu, GridMeasure):
         return float(np.dot(np.asarray(v(mu.centers), dtype=float), mu.cell_mass))
-    if mu.dim == 1:
-        vals = np.asarray(v(mu.x), dtype=float)
-    else:
-        vals = np.asarray(v(mu.positions), dtype=float)
-    return float(np.dot(vals, mu.weights))
+    return float(np.dot(np.asarray(v(mu.x), dtype=float), mu.weights))
 
 
 def barycenter(mu: Measure) -> float:
@@ -270,9 +252,6 @@ def wasserstein_1d(mu: Measure, nu: Measure, p: float = 1.0) -> float:
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    for m in (mu, nu):
-        if isinstance(m, ParticleMeasure) and m.dim != 1:
-            raise ValueError("wasserstein_1d requires 1D measures")
     ds, qa, qb = _quantile_segments(mu, nu)
     diff = np.abs(qa - qb)
     if p == 1.0:
@@ -284,57 +263,5 @@ def translate(mu: Measure, a: float) -> Measure:
     """Exact translation by a (grid coordinates shift, atoms move)."""
     if isinstance(mu, GridMeasure):
         return replace(mu, x_min=mu.x_min + a, x_max=mu.x_max + a)
-    return ParticleMeasure(mu.positions + a, mu.weights)
+    return ParticleMeasure(mu.x + a, mu.weights)
 
-
-def _pushforward_grid(mu: GridMeasure, gamma: Callable) -> GridMeasure:
-    edges = mu.edges
-    img = np.asarray(gamma(edges), dtype=float)
-    if np.all(np.diff(img) > 0):
-        # Monotone map: push cell edges, distribute each image interval over
-        # the new uniform grid proportionally to overlap. Exact for affine maps.
-        lo, hi = img[0], img[-1]
-        new_edges = np.linspace(lo, hi, mu.n_cells + 1)
-        dxn = new_edges[1] - new_edges[0]
-        new_mass = np.zeros(mu.n_cells)
-        for i in range(mu.n_cells):
-            a, b = img[i], img[i + 1]
-            m = mu.cell_mass[i]
-            if m == 0.0:
-                continue
-            j0 = min(int((a - lo) / dxn), mu.n_cells - 1)
-            j1 = min(int((b - lo) / dxn), mu.n_cells - 1)
-            if j0 == j1:
-                new_mass[j0] += m
-            else:
-                width = b - a
-                for j in range(j0, j1 + 1):
-                    seg = min(b, new_edges[j + 1]) - max(a, new_edges[j])
-                    new_mass[j] += m * max(seg, 0.0) / width
-        return GridMeasure(lo, hi, new_mass)
-    # General map: atomize cells, map atoms, re-bin on the original grid
-    # (expanded if images escape it).
-    k = 8
-    sub = (np.arange(k) + 0.5) / k
-    xs = (edges[:-1, None] + sub[None, :] * mu.dx).ravel()
-    ws = np.repeat(mu.cell_mass / k, k)
-    ximg = np.asarray(gamma(xs), dtype=float)
-    lo = min(mu.x_min, float(ximg.min()))
-    hi = max(mu.x_max, float(ximg.max()))
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    n = mu.n_cells
-    idx = np.clip(((ximg - lo) / (hi - lo) * n).astype(int), 0, n - 1)
-    new_mass = np.bincount(idx, weights=ws, minlength=n)
-    return GridMeasure(lo, hi, new_mass)
-
-
-def pushforward(mu: Measure, gamma: Callable) -> Measure:
-    """Push-forward gamma#mu; total mass is preserved exactly."""
-    if isinstance(mu, ParticleMeasure):
-        if mu.dim == 1:
-            pos = np.asarray(gamma(mu.x), dtype=float)[:, None]
-        else:
-            pos = np.asarray(gamma(mu.positions), dtype=float)
-        return ParticleMeasure(pos, mu.weights)
-    return _pushforward_grid(mu, gamma)

@@ -12,7 +12,7 @@ Scenario parameters live in JSON files shipped with the package
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from importlib import resources
 from typing import Optional
 
@@ -20,9 +20,8 @@ import numpy as np
 
 from .controller import ControllerState, SearchConfig
 from .kernels import constant_kernel, make_kernel
-from .lyapunov import MomentFunctional, make_functional, variance_about
-from .measures import (GridMeasure, Measure, ParticleMeasure, SupportBall,
-                       moment)
+from .lyapunov import variance_about
+from .measures import GridMeasure, ParticleMeasure, SupportBall, moment
 from .solver import Dynamics, SolverConfig, TrajectoryLog, evolve
 
 BUILTIN_SCENARIOS = ("hk_free", "hk_ctrl_h02", "hk_ctrl_h05", "hk_ctrl_h09",
@@ -43,16 +42,19 @@ class ScenarioSpec:
     t_end: float = 50.0
     kernel: str = "hk"
     kernel_params: dict = field(default_factory=dict)
-    functional: str = "variance_recentred"
     controller: Optional[dict] = None
     snapshot_every: Optional[float] = 5.0
     cluster_mass_floor: float = 1e-3
-    n_particles: int = 2000
     concentration: Optional[dict] = None
     initial_density: Optional[list] = None  # explicit cell masses (overrides seed)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
+        if "name" not in d:
+            raise ValueError("spec has no name")
         d = dict(d)
         for key in ("interval", "domain"):
             if key in d and d[key] is not None:
@@ -94,6 +96,23 @@ class ScenarioSpec:
                     raise KeyError(f"unknown override {k!r}")
                 d[k] = v
         return ScenarioSpec.from_dict(d)
+
+    def validate(self) -> "ScenarioSpec":
+        """Raise ValueError or KeyError on a config no run can use."""
+        expected = "particles" if self.concentration is not None else "grid"
+        if self.backend != expected:
+            raise ValueError(f"backend {self.backend!r} does not fit this scenario; "
+                             f"it runs on {expected!r}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.t_end < self.dt:
+            raise ValueError(f"t_end {self.t_end} is shorter than one step dt={self.dt}")
+        if not self.n_cells >= 1:
+            raise ValueError(f"n_cells must be at least 1, got {self.n_cells}")
+        make_kernel(self.kernel, epsilon=self.epsilon, **self.kernel_params)
+        if self.controller is not None:
+            _controller_state(self)
+        return self
 
 
 @dataclass(frozen=True)
@@ -155,24 +174,16 @@ def make_initial_measure(spec: ScenarioSpec) -> GridMeasure:
 def _controller_state(spec: ScenarioSpec) -> ControllerState:
     cfg = dict(spec.controller or {})
     search = cfg.get("search", {})
-    # On a grid the ramps must span a couple of cells or the face-velocity
-    # upwinding sees a bump that is zero at every edge near its boundary.
+    # The ramps must span a couple of cells or the face-velocity upwinding
+    # sees a bump that is zero at every edge near its boundary.
     dx = (spec.domain[1] - spec.domain[0]) / spec.n_cells
-    default_floor = 2.0 * dx if spec.backend == "grid" else 0.0
     return ControllerState(
         c=cfg.get("c", 2.0), h=cfg.get("h", 0.5), radius=spec.radius,
         kappa=cfg.get("kappa", 1.0), eps_sign=cfg.get("eps_sign", 1e-9),
-        eta_floor=cfg.get("eta_floor", default_floor),
+        eta_floor=cfg.get("eta_floor", 2.0 * dx),
         search=SearchConfig(n_a=search.get("n_a", 64), n_w=search.get("n_w", 16),
                             n_eta=search.get("n_eta", 8),
                             refinement_rounds=search.get("refine", 2)))
-
-
-def _functional(spec: ScenarioSpec, mu0: Measure) -> MomentFunctional:
-    if spec.functional == "variance_recentred":
-        x_bar = moment(mu0, lambda x: x)
-        return variance_about(x_bar, spec.radius)
-    return make_functional(spec.functional, spec.radius)
 
 
 def _solver_config(spec: ScenarioSpec) -> SolverConfig:
@@ -183,7 +194,7 @@ def _solver_config(spec: ScenarioSpec) -> SolverConfig:
 def run_hk_uncontrolled(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]:
     """Free evolution; reports the surviving opinion clusters."""
     mu0 = make_initial_measure(spec)
-    V = _functional(spec, mu0)
+    V = variance_about(moment(mu0, lambda x: x), spec.radius)
     f = make_kernel(spec.kernel, epsilon=spec.epsilon, **spec.kernel_params)
     dyn = Dynamics(f_kernel=f)
     log = evolve(mu0, dyn, _solver_config(spec), SupportBall(spec.radius), V)
@@ -199,7 +210,7 @@ def run_hk_controlled(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]
     if spec.controller is None:
         raise ValueError("controlled scenario needs a controller config")
     mu0 = make_initial_measure(spec)
-    V = _functional(spec, mu0)
+    V = variance_about(moment(mu0, lambda x: x), spec.radius)
     f = make_kernel(spec.kernel, epsilon=spec.epsilon, **spec.kernel_params)
     dyn = Dynamics(f_kernel=f, g_kernels=(constant_kernel(1.0),),
                    controller=_controller_state(spec))
@@ -244,8 +255,8 @@ def concentration_gain(c: float, eps: float):
 
 
 def run_concentration_demo(c: float, epsilons: Optional[list] = None,
-                           n_particles: int = 5000, dt: float = 1e-3,
-                           seed: int = 42) -> tuple[TrajectoryLog, dict]:
+                           n_particles: int = 5000,
+                           dt: float = 1e-3) -> tuple[TrajectoryLog, dict]:
     """Drive a uniform density on [0, 1] toward chi_[0,1-c] + c*delta_{1-c}.
 
     The gain acts only where at most mass c of the crowd sits; shrinking the
@@ -262,17 +273,15 @@ def run_concentration_demo(c: float, epsilons: Optional[list] = None,
     times = np.array([t for t, _ in epsilons])
     eps_vals = [e for _, e in epsilons]
 
-    def prescribed(t):
-        i = int(np.searchsorted(times, t, side="left"))
-        i = min(i, len(eps_vals) - 1)
-        return concentration_gain(c, eps_vals[i])
-
     def eps_at(t):
         i = min(int(np.searchsorted(times, t, side="left")), len(eps_vals) - 1)
         return eps_vals[i]
 
+    def prescribed(t):
+        return concentration_gain(c, eps_at(t))
+
     x0 = (np.arange(n_particles) + 0.5) / n_particles
-    mu0 = ParticleMeasure(x0[:, None], np.full(n_particles, 1.0 / n_particles))
+    mu0 = ParticleMeasure(x0, np.full(n_particles, 1.0 / n_particles))
     V = variance_about(0.0, radius=2.0)
     dyn = Dynamics(f_kernel=None, g_kernels=(constant_kernel(1.0),),
                    prescribed_control=prescribed, taper=0.2)

@@ -8,9 +8,9 @@ sum_i m_i v_i = 0 for an odd kernel the first moment is conserved to
 roundoff, so an isolated cluster keeps its barycenter.  The control field is
 evaluated at the cell edges and upwinded at the faces (monotone, with the
 density's growth bounded by the discrete divergence).  Particle measures
-advance along characteristics with explicit Euler or RK4.  The control
-velocity is frozen at the start of every step; the controller is queried
-once per step and its bump is held piecewise constant between switch events.
+advance along characteristics with RK4.  The control velocity is frozen at
+the start of every step; the controller is queried once per step and its
+bump is held piecewise constant between switch events.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .controller import ControllerState, decide_multi
-from .kernels import InteractionKernel, ball_cutoff, divergence_sup
+from .kernels import InteractionKernel, ball_cutoff
 from .lyapunov import MomentFunctional, value
 from .measures import (GridMeasure, Measure, ParticleMeasure, SupportBall,
                        support_bounds, sup_norm, total_mass)
@@ -37,7 +37,6 @@ class SolverConfig:
     dt: float
     t_end: float
     cfl_max: float = 0.9
-    integrator_order: int = 4     # 1 = Euler, 4 = RK4 (particles)
     snapshot_every: Optional[float] = None
     log_every: int = 1
 
@@ -46,19 +45,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if not (0.0 < self.cfl_max < 1.0):
             raise ValueError("cfl_max must lie in (0, 1)")
-        if self.integrator_order not in (1, 4):
-            raise ValueError("integrator_order must be 1 or 4")
-
-
-@dataclass
-class FlowMap:
-    """Discrete characteristic flow: particle positions sampled over time."""
-
-    times: np.ndarray
-    positions: np.ndarray  # shape (n_times, n_particles, d)
-
-    def at(self, k: int) -> np.ndarray:
-        return self.positions[k]
 
 
 CSV_COLUMNS = ["t", "V", "slope", "control_a", "control_b", "control_eta",
@@ -79,7 +65,7 @@ class TrajectoryLog:
         a = b = eta = float("nan")
         sign = 0
         if ctrl is not None:
-            a, b, eta = float(ctrl.params.a[0]), float(ctrl.params.b[0]), ctrl.params.eta
+            a, b, eta = ctrl.params.a, ctrl.params.b, ctrl.params.eta
             sign = ctrl.sign
         self.rows.append((t, V, slope, a, b, eta, sign, mass, sup, lo, hi))
 
@@ -189,25 +175,14 @@ def step_grid(mu: GridMeasure, field, dt: float, cfl_max: float = 0.9,
     return GridMeasure(mu.x_min, mu.x_max, mass, offset)
 
 
-def _advance_positions(x: np.ndarray, field: Callable, dt: float,
-                       order: int) -> np.ndarray:
-    if order == 1:
-        return x + dt * np.asarray(field(x))
+def step_particles(mu: ParticleMeasure, field: Callable, dt: float) -> ParticleMeasure:
+    """Advance every atom one RK4 step along the frozen field; weights unchanged."""
+    x = mu.x
     k1 = np.asarray(field(x))
     k2 = np.asarray(field(x + 0.5 * dt * k1))
     k3 = np.asarray(field(x + 0.5 * dt * k2))
     k4 = np.asarray(field(x + dt * k3))
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step_particles(mu: ParticleMeasure, field: Callable, dt: float,
-                   order: int = 4) -> ParticleMeasure:
-    """Advance every atom along the frozen field; weights unchanged."""
-    if mu.dim == 1:
-        x = _advance_positions(mu.x, field, dt, order)
-        return ParticleMeasure(x[:, None], mu.weights)
-    x = _advance_positions(mu.positions, field, dt, order)
-    return ParticleMeasure(x, mu.weights)
+    return ParticleMeasure(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), mu.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +210,7 @@ def _check_support(mu: Measure, ball: SupportBall, tol: float) -> tuple[float, f
 
 
 def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
-           ball: SupportBall, V: MomentFunctional,
-           record_flow: bool = False) -> TrajectoryLog:
+           ball: SupportBall, V: MomentFunctional) -> TrajectoryLog:
     """Evolve mu0 to t_end, logging diagnostics every ``log_every`` steps.
 
     Raises :class:`SupportEscapeError` if mass leaves B(0, R) beyond one cell
@@ -244,18 +218,18 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     """
     if isinstance(mu0, GridMeasure):
         return _evolve_grid(mu0, dynamics, config, ball, V)
-    return _evolve_particles(mu0, dynamics, config, ball, V, record_flow)
+    return _evolve_particles(mu0, dynamics, config, ball, V)
 
 
 def _log_meta(log: TrajectoryLog, dynamics: Dynamics, config: SolverConfig,
-              ball: SupportBall, dim: int) -> None:
+              ball: SupportBall) -> None:
     L = M = 0.0
     kernels = [k for k in (dynamics.f_kernel, *dynamics.g_kernels) if k is not None]
     if kernels:
         L = max(k.lipschitz_L for k in kernels)
         M = max(k.bound_M for k in kernels)
-    log.meta.update(dict(L=L, M=M, theta=config.t_end, dim=dim,
-                         radius=ball.radius, dt=config.dt))
+    log.meta.update(dict(L=L, M=M, theta=config.t_end, radius=ball.radius,
+                         dt=config.dt))
 
 
 def _snapshot_due(t: float, last: float, every: Optional[float]) -> bool:
@@ -276,7 +250,7 @@ def _evolve_grid(mu0: GridMeasure, dynamics: Dynamics, config: SolverConfig,
 
     state = dynamics.controller
     log = TrajectoryLog(dt=config.dt, dx=mu.dx)
-    _log_meta(log, dynamics, config, ball, dim=1)
+    _log_meta(log, dynamics, config, ball)
     n_steps = int(round(config.t_end / config.dt))
     last_snap = -math.inf
     t = 0.0
@@ -326,18 +300,17 @@ def _evolve_grid(mu0: GridMeasure, dynamics: Dynamics, config: SolverConfig,
 
 def _evolve_particles(mu0: ParticleMeasure, dynamics: Dynamics,
                       config: SolverConfig, ball: SupportBall,
-                      V: MomentFunctional, record_flow: bool) -> TrajectoryLog:
+                      V: MomentFunctional) -> TrajectoryLog:
     mu = mu0
     taper = dynamics.taper if dynamics.taper is not None else ball.radius / 10.0
     state = dynamics.controller
     log = TrajectoryLog(dt=config.dt, dx=0.0)
-    _log_meta(log, dynamics, config, ball, dim=mu.dim)
+    _log_meta(log, dynamics, config, ball)
     n_steps = int(round(config.t_end / config.dt))
     last_snap = -math.inf
-    flow_t, flow_x = [], []
     t = 0.0
     for k in range(n_steps + 1):
-        ax, aw = (mu.x, mu.weights) if mu.dim == 1 else (mu.positions, mu.weights)
+        ax, aw = mu.x, mu.weights
 
         def f_field(x, ax=ax, aw=aw):
             out = np.zeros_like(np.asarray(x, dtype=float))
@@ -375,18 +348,13 @@ def _evolve_particles(mu0: ParticleMeasure, dynamics: Dynamics,
             lo, hi = _check_support(mu, ball, 1e-9)
             log.append(t, value(V, mu), slope_now, ctrl, total_mass(mu),
                        float("nan"), lo, hi)
-        if record_flow:
-            flow_t.append(t)
-            flow_x.append(mu.positions.copy())
         if _snapshot_due(t, last_snap, config.snapshot_every):
             log.snapshots.append((t, mu))
             last_snap = t
         if k == n_steps:
             break
-        mu = step_particles(mu, total_field, config.dt, config.integrator_order)
+        mu = step_particles(mu, total_field, config.dt)
         t = (k + 1) * config.dt
-    if record_flow:
-        log.meta["flow"] = FlowMap(np.array(flow_t), np.stack(flow_x))
     return log
 
 
@@ -399,8 +367,8 @@ def check_linf_bound(log: TrajectoryLog) -> dict:
 
     Checks, at every logged step, sup[k+1] <= sup[k] * (1 + dt * divsup[k])
     with relative slack 5*(dx + dt), and the a-priori global bound
-    exp(d * theta * (2L + M * theta)) * sup[0].  Returns a report; never
-    raises.
+    exp(theta * (2L + M * theta)) * sup[0] in dimension 1.  Returns a
+    report; never raises.
     """
     sup = log.column("sup_norm")
     div = np.asarray(log.div_sup)
@@ -414,8 +382,7 @@ def check_linf_bound(log: TrajectoryLog) -> dict:
     m = log.meta
     theta = m.get("theta", float(log.t[-1]))
     # compare in log space: the a-priori constant easily overflows a float
-    log_bound = m.get("dim", 1) * theta * (2.0 * m.get("L", 0.0)
-                                           + m.get("M", 0.0) * theta)
+    log_bound = theta * (2.0 * m.get("L", 0.0) + m.get("M", 0.0) * theta)
     with np.errstate(divide="ignore"):
         global_ok = bool(np.all(np.log(sup) <= log_bound + math.log(sup[0]) + 1e-9))
     return dict(ok=not violations and global_ok, violations=violations,

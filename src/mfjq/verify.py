@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .controller import BumpParams, bump_1d
+from .controller import bump_1d
 from .kernels import HKKernel, constant_kernel, nonlocal_field
 from .lyapunov import (lie_derivative, lie_derivative_fd_oracle, value,
                        variance_about)
 from .measures import ParticleMeasure, barycenter
-from .scenarios import ScenarioSpec, run_hk_controlled
+from .scenarios import ScenarioSpec, run_hk_controlled, run_hk_uncontrolled
 
 SUITES = ("constraints", "conservation", "oracle", "dissipativity", "all")
 
@@ -86,8 +84,6 @@ def suite_dissipativity(n_pairs: int = 100, seed: int = 1) -> list:
 
 def suite_conservation(seed: int = 2) -> list:
     """Mass, positivity, barycenter and support along a short drift run."""
-    from .scenarios import ScenarioSpec, run_hk_uncontrolled
-
     spec = ScenarioSpec(name="conservation-probe", seed=seed, t_end=2.0,
                         snapshot_every=0.5)
     log, _ = run_hk_uncontrolled(spec)
@@ -152,7 +148,9 @@ def suite_constraints(run_dir: Optional[Path] = None) -> list:
     return audit_constraints_log(log.t, log.column("control_a"),
                                  log.column("control_b"),
                                  log.column("control_eta"),
-                                 log.column("control_sign"), c=2.0)
+                                 log.column("control_sign"),
+                                 c=spec.controller["c"],
+                                 kappa=spec.controller["kappa"])
 
 
 def run_suite(name: str, run_dir: Optional[Path] = None) -> list:
@@ -166,11 +164,5 @@ def run_suite(name: str, run_dir: Optional[Path] = None) -> list:
         return suite_constraints(run_dir)
     if name == "all":
         names = ["constraints", "conservation", "oracle", "dissipativity"]
-        workers = int(os.environ.get("MFJQ_THREADS", "1"))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                parts = list(ex.map(lambda n: run_suite(n, run_dir), names))
-        else:
-            parts = [run_suite(n, run_dir) for n in names]
-        return [row for part in parts for row in part]
+        return [row for n in names for row in run_suite(n, run_dir)]
     raise KeyError(f"unknown suite {name!r}")

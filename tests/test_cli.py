@@ -1,11 +1,17 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfjq.cli import main
+from mfjq import verify
+from mfjq.cli import _build_parser, main
 from mfjq.scenarios import ScenarioSpec
 from mfjq.verify import run_suite
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args):
@@ -100,6 +106,35 @@ class TestRun:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["max_omega_mass"] <= 0.5 + 1e-3
 
+    @pytest.mark.parametrize("base, change", [
+        pytest.param("hk_free", {"bogus": 1}, id="unknown-key"),
+        pytest.param("hk_free", {"n_particles": 2000}, id="n_particles"),
+        pytest.param("hk_free", {"functional": "variance_recentred"}, id="functional"),
+        pytest.param("hk_free", {"dt": 0.0}, id="dt-zero"),
+        pytest.param("hk_free", {"dt": -1.0}, id="dt-negative"),
+        pytest.param("hk_free", {"dt": "0.1"}, id="dt-string"),
+        pytest.param("hk_free", {"n_cells": 0}, id="no-cells"),
+        pytest.param("hk_free", {"dt": 5.0, "t_end": 1.0}, id="t_end-below-dt"),
+        pytest.param("hk_free", {"kernel": "nope"}, id="unknown-kernel"),
+        pytest.param("hk_free", {"kernel_params": {"epsilon": 0.1}}, id="epsilon-twice"),
+        pytest.param("hk_ctrl_h05", {"controller": {"h": 1.5, "c": 2.0, "kappa": 0.8}},
+                     id="h-above-1"),
+        pytest.param("hk_ctrl_h05", {"controller": {"h": 0.0, "c": 2.0, "kappa": 0.8}},
+                     id="h-zero"),
+        pytest.param("hk_free", {"backend": "particles"}, id="particles-on-grid"),
+        pytest.param("concentration", {"backend": "grid"}, id="grid-on-concentration"),
+    ])
+    def test_config_error_exit_2(self, tmp_path, capsys, base, change):
+        d = ScenarioSpec.builtin(base).to_dict()
+        d.update(change)
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err, err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_oracle_suite(self, capsys):
@@ -119,11 +154,33 @@ class TestVerify:
         assert run_cli(["verify", "constraints", "--run-dir", str(out)]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_all_suite_parallel(self, capsys, monkeypatch):
-        monkeypatch.setenv("MFJQ_THREADS", "2")
+    def test_all_suite(self):
         rows = run_suite("all")
         assert all(ok for _, ok, _ in rows), rows
+
+    def test_constraints_audit_uses_scenario_kappa(self, monkeypatch):
+        seen = {}
+        real = verify.audit_constraints_log
+
+        def spy(*args, **kw):
+            seen.update(kw)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(verify, "audit_constraints_log", spy)
+        assert all(ok for _, ok, _ in verify.suite_constraints())
+        # the controller of hk_ctrl_h05, not the audit's default kappa = 1
+        assert seen == {"c": 2.0, "kappa": 0.8}
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "nope"])
+
+
+def test_readme_commands_parse():
+    """Every `mfjq ...` line in a README code block is a valid command line."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = [ln.strip() for b in blocks for ln in b.splitlines()
+             if ln.strip().startswith("mfjq ")]
+    assert lines
+    for line in lines:
+        _build_parser().parse_args(shlex.split(line)[1:])

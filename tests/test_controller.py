@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfjq.controller import (ActiveControl, BumpParams, ControllerState,
-                             SearchConfig, SlopeEvaluator, admissible, bump_1d,
-                             bump_nd, control_function, decide, decide_multi,
+                             SearchConfig, SlopeEvaluator, bump_1d, decide_multi,
                              search_maximizer, slope)
 from mfjq.lyapunov import variance_about
 from mfjq.measures import GridMeasure, ParticleMeasure
@@ -56,13 +55,7 @@ class TestBumpParams:
     def test_volume_1d(self):
         p = BumpParams(np.array([0.0]), np.array([1.0]), 0.25)
         assert p.volume == pytest.approx(1.5)
-        lo, hi = p.omega
-        assert (lo[0], hi[0]) == (-0.25, 1.25)
-
-    def test_volume_2d(self):
-        p = BumpParams(np.zeros(2), np.ones(2), 0.5)
-        assert p.dim == 2
-        assert p.volume == pytest.approx(4.0)
+        assert p.omega == (-0.25, 1.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,23 +65,14 @@ class TestBumpParams:
         with pytest.raises(ValueError):
             BumpParams(np.zeros(2), np.ones(3), 0.1)
 
-    def test_bump_nd_reduces_to_1d(self):
-        p = BumpParams(np.array([0.0]), np.array([1.0]), 0.3)
-        x = np.linspace(-1, 2, 31)
-        np.testing.assert_allclose(bump_nd(p, x), bump_1d(0.0, 1.0, 0.3, x))
-
-    def test_bump_nd_box(self):
-        p = BumpParams(np.zeros(2), np.ones(2), 0.5)
-        pts = np.array([[0.5, 0.5], [0.5, 1.25], [2.0, 0.5]])
-        np.testing.assert_allclose(bump_nd(p, pts), [1.0, 0.5, 0.0])
-
 
 def test_control_function_contract():
-    p = BumpParams(np.array([0.0]), np.array([1.0]), 0.2)
-    u, omega, vol = control_function(p, -1)
+    p = BumpParams(0.0, 1.0, 0.2)
+    u = ActiveControl(p, -1).u
     x = np.linspace(-1, 2, 301)
     assert np.max(np.abs(u(x))) <= 1.0
-    assert vol == pytest.approx(1.4)
+    np.testing.assert_array_equal(u(x), -bump_1d(0.0, 1.0, 0.2, x))
+    assert p.volume == pytest.approx(1.4)
     assert u(np.array([0.5]))[0] == -1.0
 
 
@@ -123,27 +107,17 @@ class TestSlopeEvaluator:
 
 
 class TestAdmissible:
-    def test_volume_budget(self):
-        state = ControllerState(c=2.0, h=0.5, radius=10.0)
-        ok = BumpParams(np.array([0.0]), np.array([1.0]), 0.5)
-        too_big = BumpParams(np.array([0.0]), np.array([1.5]), 0.5)
-        assert admissible(ok, t=9.0, state=state)
-        assert not admissible(too_big, t=9.0, state=state)
-
     def test_eta_schedule(self):
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
-        thin = BumpParams(np.array([0.0]), np.array([0.5]), 0.3)
-        # eta_min(0) = 1, strict eta_min(0) = 2
-        assert not admissible(thin, t=0.0, state=state)
-        assert admissible(thin, t=4.0, state=state)        # eta_min = 0.2
-        # strict bound is 2/(1+t) = 0.4 > 0.3
-        assert not admissible(thin, t=4.0, state=state, strict=True)
+        assert state.eta_min(0.0) == pytest.approx(1.0)
+        assert state.eta_min(0.0, strict=True) == pytest.approx(2.0)
+        assert state.eta_min(4.0) == pytest.approx(0.2)
+        assert state.eta_min(4.0, strict=True) == pytest.approx(0.4)
 
     def test_eta_floor(self):
         state = ControllerState(c=2.0, h=0.5, radius=10.0, eta_floor=0.4)
-        thin = BumpParams(np.array([0.0]), np.array([0.5]), 0.3)
-        assert not admissible(thin, t=100.0, state=state)
         assert state.eta_min(100.0) == 0.4
+        assert state.eta_min(100.0, strict=True) == 0.4
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -173,7 +147,7 @@ class TestSearchMaximizer:
         assert s == pytest.approx(6.0)   # |2 * 3.0| * mass 1
         assert signed == pytest.approx(6.0)
         lo, hi = params.omega
-        assert lo[0] <= 3.0 <= hi[0]
+        assert lo <= 3.0 <= hi
 
     def test_against_finer_scan(self):
         """Refined search is within 2% of an exhaustive 10x-finer scan."""
@@ -215,7 +189,7 @@ class TestStateMachine:
         state = self.mk_state()
         mu = ParticleMeasure.dirac(0.0)
         V = variance_about(0.0, radius=10.0)
-        dec, new = decide(5.0, mu, state, ones, V)
+        dec, new = decide_multi(5.0, mu, state, (ones,), V)
         assert dec.control is None and not dec.switched
         assert new.n_switches == 0
 
@@ -224,7 +198,7 @@ class TestStateMachine:
         mu = ParticleMeasure.dirac(3.0)
         V = variance_about(0.0, radius=10.0)
         t = 10.0  # phi3 = 2/11 << slope 6
-        dec, new = decide(t, mu, state, ones, V)
+        dec, new = decide_multi(t, mu, state, (ones,), V)
         assert dec.control is not None and dec.switched
         assert dec.control.sign == -1   # push mass at x > 0 toward 0
         assert new.n_switches == 1
@@ -235,7 +209,7 @@ class TestStateMachine:
         # tiny slope: atom very close to the variance center
         mu = ParticleMeasure(np.array([[0.01], [-0.01]]), np.array([0.5, 0.5]))
         V = variance_about(0.0, radius=10.0)
-        dec, new = decide(10.0, mu, state, ones, V)
+        dec, new = decide_multi(10.0, mu, state, (ones,), V)
         assert dec.control is None and not dec.switched
 
     def test_hold_between_thresholds(self):
@@ -243,9 +217,9 @@ class TestStateMachine:
         V = variance_about(0.0, radius=10.0)
         mu = ParticleMeasure.dirac(3.0)
         state = self.mk_state(h=0.5)
-        dec, state = decide(10.0, mu, state, ones, V)
+        dec, state = decide_multi(10.0, mu, state, (ones,), V)
         ctrl = dec.control
-        dec2, state2 = decide(10.01, mu, state, ones, V)
+        dec2, state2 = decide_multi(10.01, mu, state, (ones,), V)
         assert dec2.control is ctrl  # frozen, not re-searched
         assert not dec2.switched
         assert dec2.current_slope == pytest.approx(6.0)
@@ -255,11 +229,11 @@ class TestStateMachine:
         V = variance_about(0.0, radius=10.0)
         state = self.mk_state(h=0.5)
         mu = ParticleMeasure.dirac(3.0)
-        dec, state = decide(10.0, mu, state, ones, V)
+        dec, state = decide_multi(10.0, mu, state, (ones,), V)
         old = dec.control
         # mass teleports far away: old bump now covers nothing
         mu2 = ParticleMeasure(np.array([[3.0], [-8.0]]), np.array([0.01, 0.99]))
-        dec2, state2 = decide(10.01, mu2, state, ones, V)
+        dec2, state2 = decide_multi(10.01, mu2, state, (ones,), V)
         assert dec2.switched
         assert dec2.control is not None and dec2.control is not old
         assert dec2.current_slope <= (1.0 - state.h) * dec2.candidate_slope + 1e-9
@@ -268,10 +242,10 @@ class TestStateMachine:
         V = variance_about(0.0, radius=10.0)
         state = self.mk_state()
         mu = ParticleMeasure.dirac(3.0)
-        dec, state = decide(10.0, mu, state, ones, V)
+        dec, state = decide_multi(10.0, mu, state, (ones,), V)
         # all mass reaches the center: active slope drops to 0 <= phi1
         mu2 = ParticleMeasure.dirac(0.0)
-        dec2, state2 = decide(10.5, mu2, state, ones, V)
+        dec2, state2 = decide_multi(10.5, mu2, state, (ones,), V)
         assert dec2.switched and dec2.control is None
         assert state2.active is None
 
@@ -291,7 +265,7 @@ class TestStateMachine:
         for k in range(30):
             mu = random_particles(rng, 20)
             t = 2.0 + 0.1 * k
-            dec, state = decide(t, mu, state, ones, V)
+            dec, state = decide_multi(t, mu, state, (ones,), V)
             if dec.control is not None:
                 p = dec.control.params
                 assert p.volume <= state.c + 1e-12

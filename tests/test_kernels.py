@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfjq.kernels import (HKKernel, ball_cutoff, constant_kernel,
-                          divergence_sup, eval_phi, make_kernel,
-                          nonlocal_field, table_kernel, truncate_to_ball)
+from mfjq.kernels import (HKKernel, ball_cutoff, constant_kernel, make_kernel,
+                          nonlocal_field)
 from mfjq.measures import ParticleMeasure, SupportBall
 
 
 class TestHKPhi:
     def test_plateau_and_cutoff(self):
         k = HKKernel(0.05)
-        np.testing.assert_allclose(eval_phi(k, [0.0, 0.5, -0.99]), 1.0)
-        np.testing.assert_allclose(eval_phi(k, [1.1, -2.0, 50.0]), 0.0)
+        np.testing.assert_allclose(k.phi([0.0, 0.5, -0.99]), 1.0)
+        np.testing.assert_allclose(k.phi([1.1, -2.0, 50.0]), 0.0)
 
     def test_ramp_is_linear(self):
         eps = 0.2
@@ -92,20 +91,6 @@ def test_constant_kernel_field_is_total_mass():
     np.testing.assert_allclose(k.field_matrix(x, np.zeros(2)) @ aw, 2.0)
 
 
-def test_table_kernel_roundtrip(tmp_path):
-    path = tmp_path / "rule.csv"
-    path.write_text("r,value\n-1,-0.5\n0,0\n1,0.5\n")
-    kern = table_kernel(path)
-    mu_x = np.array([0.0])
-    w = np.array([1.0])
-    np.testing.assert_allclose(kern.field_at(np.array([-0.5, 0.0, 0.5]), mu_x, w),
-                               [0.25, 0.0, -0.25])
-    # zero outside the tabulated range
-    assert kern.field_at(np.array([5.0]), mu_x, w)[0] == 0.0
-    assert kern.lipschitz_L == pytest.approx(0.5)
-    assert kern.support_radius == pytest.approx(1.0)
-
-
 def test_make_kernel_registry():
     assert make_kernel("hk").name == "hk"
     assert make_kernel("constant_g", value=3.0).bound_M == 3.0
@@ -120,21 +105,9 @@ class TestBallCutoff:
         np.testing.assert_allclose(ball_cutoff(x, ball, 1.0),
                                    [1.0, 1.0, 0.5, 0.0, 0.0])
 
-    def test_truncate_validation(self):
-        ball = SupportBall(2.0)
-        with pytest.raises(ValueError):
-            truncate_to_ball(lambda x: x, ball, 0.0)
-        with pytest.raises(ValueError):
-            truncate_to_ball(lambda x: x, ball, 3.0)
-
     def test_truncated_field_vanishes_outside(self):
+        # the solvers truncate every velocity field this way
         ball = SupportBall(2.0)
-        f = truncate_to_ball(lambda x: np.ones_like(x), ball, 0.5)
         x = np.array([0.0, 1.4, 2.5])
-        np.testing.assert_allclose(f(x), [1.0, 1.0, 0.0])
-
-
-def test_divergence_sup_linear_field():
-    x = np.linspace(-1, 1, 101)
-    assert divergence_sup(lambda x: -3.0 * x, x) == pytest.approx(3.0, abs=1e-10)
-    assert divergence_sup(lambda x: np.full_like(x, 2.0), x) <= 1e-12
+        np.testing.assert_allclose(np.ones_like(x) * ball_cutoff(x, ball, 0.5),
+                                   [1.0, 1.0, 0.0])

@@ -108,13 +108,8 @@ class TestStepParticles:
         mu = ParticleMeasure.dirac(1.0)
         out = mu
         for _ in range(100):
-            out = step_particles(out, lambda x: -x, 0.01, order=4)
+            out = step_particles(out, lambda x: -x, 0.01)
         assert out.x[0] == pytest.approx(np.exp(-1.0), rel=1e-8)
-
-    def test_euler_first_order(self):
-        mu = ParticleMeasure.dirac(1.0)
-        out = step_particles(mu, lambda x: -x, 0.1, order=1)
-        assert out.x[0] == pytest.approx(0.9)
 
     def test_weights_untouched(self):
         w = np.array([0.25, 0.75])
@@ -193,16 +188,6 @@ class TestEvolve:
         cfg = SolverConfig(dt=0.01, t_end=0.5, snapshot_every=0.5)
         log = evolve(mu, dyn, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
         assert log.V[-1] < log.V[0]
-
-    def test_record_flow(self):
-        mu = ParticleMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        dyn = Dynamics(f_kernel=HKKernel(0.05).interaction())
-        cfg = SolverConfig(dt=0.1, t_end=0.5)
-        log = evolve(mu, dyn, cfg, SupportBall(6.0), variance_about(0.0, 6.0),
-                     record_flow=True)
-        flow = log.meta["flow"]
-        assert flow.positions.shape == (6, 2, 1)
-        assert flow.at(0).shape == (2, 1)
 
 
 class TestTrajectoryLog:
@@ -291,5 +276,3 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_end=1.0, cfl_max=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_end=1.0, integrator_order=3)
