@@ -78,7 +78,7 @@ def cmd_run(args) -> int:
             sched = default_epsilon_schedule(conc["c"], conc.get("n_intervals", 20))
             log, report = run_concentration_demo(
                 conc["c"], sched, n_particles=conc.get("n_particles", 5000),
-                dt=spec.dt)
+                dt=spec.dt, t_end=spec.t_end)
             extra = dict(max_omega_mass=float(report["omega_mass"].max()),
                          final_window_mass=float(report["window_mass"][-1]))
         elif spec.controller is not None:

@@ -42,12 +42,6 @@ class InteractionKernel:
         """Dense rule matrix K with field = K @ weights (positions fixed)."""
         return self.rule(np.asarray(x_eval, dtype=float)[:, None], atoms_x)
 
-    def field_operator(self, x_eval: np.ndarray,
-                       atoms_x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """weights -> field at x_eval, for atoms fixed at atoms_x."""
-        K = self.field_matrix(x_eval, atoms_x)
-        return lambda w: K @ w
-
 
 @dataclass(frozen=True)
 class ConstantKernel(InteractionKernel):
@@ -61,10 +55,6 @@ class ConstantKernel(InteractionKernel):
 
     def field_matrix(self, x_eval, atoms_x):
         return np.full((len(x_eval), len(atoms_x)), self.value)
-
-    def field_operator(self, x_eval, atoms_x):
-        n = len(x_eval)
-        return lambda w: np.full(n, self.value * float(np.sum(w)))
 
 
 def constant_kernel(value: float = 1.0) -> ConstantKernel:

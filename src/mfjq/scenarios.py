@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import ControllerState, SearchConfig
+from .controller import ControllerState
 from .kernels import constant_kernel, make_kernel
 from .lyapunov import variance_about
 from .measures import GridMeasure, ParticleMeasure, SupportBall, moment
@@ -89,6 +89,8 @@ class ScenarioSpec:
                 if d.get("controller") is None:
                     raise ValueError(f"override {k!r} needs a controlled scenario")
                 d["controller"][k] = v
+            elif k in ("cells", "seed") and d.get("concentration") is not None:
+                raise ValueError(f"override {k!r} has no effect on the concentration demo")
             elif k == "cells":
                 d["n_cells"] = v
             else:
@@ -107,11 +109,18 @@ class ScenarioSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end {self.t_end} is shorter than one step dt={self.dt}")
-        if not self.n_cells >= 1:
-            raise ValueError(f"n_cells must be at least 1, got {self.n_cells}")
+        if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
+            raise ValueError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
         make_kernel(self.kernel, epsilon=self.epsilon, **self.kernel_params)
         if self.controller is not None:
+            if self.concentration is not None:
+                raise ValueError("a spec has a controller or a concentration demo, not both")
             _controller_state(self)
+        if self.concentration is not None:
+            t_max = default_epsilon_schedule(self.concentration["c"])[-1][0]
+            if self.t_end > t_max:
+                raise ValueError(f"t_end {self.t_end} is past the end {t_max:.6g} "
+                                 "of the concentration demo's gain schedule")
         return self
 
 
@@ -172,18 +181,15 @@ def make_initial_measure(spec: ScenarioSpec) -> GridMeasure:
 
 
 def _controller_state(spec: ScenarioSpec) -> ControllerState:
-    cfg = dict(spec.controller or {})
-    search = cfg.get("search", {})
+    cfg = spec.controller
+    if sorted(cfg) != ["c", "h", "kappa"]:
+        raise ValueError(f"controller takes exactly the keys c, h, kappa; got "
+                         f"{', '.join(sorted(cfg)) or 'none'}")
     # The ramps must span a couple of cells or the face-velocity upwinding
     # sees a bump that is zero at every edge near its boundary.
     dx = (spec.domain[1] - spec.domain[0]) / spec.n_cells
-    return ControllerState(
-        c=cfg.get("c", 2.0), h=cfg.get("h", 0.5), radius=spec.radius,
-        kappa=cfg.get("kappa", 1.0), eps_sign=cfg.get("eps_sign", 1e-9),
-        eta_floor=cfg.get("eta_floor", 2.0 * dx),
-        search=SearchConfig(n_a=search.get("n_a", 64), n_w=search.get("n_w", 16),
-                            n_eta=search.get("n_eta", 8),
-                            refinement_rounds=search.get("refine", 2)))
+    return ControllerState(c=cfg["c"], h=cfg["h"], radius=spec.radius,
+                           kappa=cfg["kappa"], eta_floor=2.0 * dx)
 
 
 def _solver_config(spec: ScenarioSpec) -> SolverConfig:
@@ -255,12 +261,13 @@ def concentration_gain(c: float, eps: float):
 
 
 def run_concentration_demo(c: float, epsilons: Optional[list] = None,
-                           n_particles: int = 5000,
-                           dt: float = 1e-3) -> tuple[TrajectoryLog, dict]:
+                           n_particles: int = 5000, dt: float = 1e-3,
+                           t_end: Optional[float] = None) -> tuple[TrajectoryLog, dict]:
     """Drive a uniform density on [0, 1] toward chi_[0,1-c] + c*delta_{1-c}.
 
     The gain acts only where at most mass c of the crowd sits; shrinking the
-    ramp width along the schedule concentrates that mass at 1 - c.
+    ramp width along the schedule concentrates that mass at 1 - c.  The run
+    stops at ``t_end``, by default the end of the schedule.
     """
     if epsilons is None:
         epsilons = default_epsilon_schedule(c)
@@ -269,7 +276,10 @@ def run_concentration_demo(c: float, epsilons: Optional[list] = None,
     for t_i, eps_i in epsilons:
         if not (0.0 < eps_i < c - t_i):
             raise ValueError(f"schedule violates eps < c - t at t={t_i}")
-    t_end = epsilons[-1][0]
+    if t_end is None:
+        t_end = epsilons[-1][0]
+    elif t_end > epsilons[-1][0]:
+        raise ValueError(f"t_end {t_end} is past the schedule's end {epsilons[-1][0]}")
     times = np.array([t for t, _ in epsilons])
     eps_vals = [e for _, e in epsilons]
 

@@ -1,5 +1,10 @@
 """Time evolution of a measure under a nonlocal drift plus localized control.
 
+One loop, :func:`evolve`, serves both backends: every field is a nonlocal
+integral against the atoms (cell midpoints and masses on a grid) at the start
+of the step and is frozen over it.  The controller is queried once per step,
+and its bump is held piecewise constant between switch events.
+
 Grid measures carry each cell's mass and the centroid of that mass.  The
 interaction drift is evaluated at the cell midpoints, v_i = sum_j K(x_j -
 x_i) m_j, and moves each cell's content rigidly; the parts are re-binned with
@@ -8,9 +13,7 @@ sum_i m_i v_i = 0 for an odd kernel the first moment is conserved to
 roundoff, so an isolated cluster keeps its barycenter.  The control field is
 evaluated at the cell edges and upwinded at the faces (monotone, with the
 density's growth bounded by the discrete divergence).  Particle measures
-advance along characteristics with RK4.  The control velocity is frozen at
-the start of every step; the controller is queried once per step and its
-bump is held piecewise constant between switch events.
+advance along characteristics with RK4.
 """
 from __future__ import annotations
 
@@ -209,18 +212,6 @@ def _check_support(mu: Measure, ball: SupportBall, tol: float) -> tuple[float, f
     return lo, hi
 
 
-def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
-           ball: SupportBall, V: MomentFunctional) -> TrajectoryLog:
-    """Evolve mu0 to t_end, logging diagnostics every ``log_every`` steps.
-
-    Raises :class:`SupportEscapeError` if mass leaves B(0, R) beyond one cell
-    width (grid) or 1e-9 (particles).
-    """
-    if isinstance(mu0, GridMeasure):
-        return _evolve_grid(mu0, dynamics, config, ball, V)
-    return _evolve_particles(mu0, dynamics, config, ball, V)
-
-
 def _log_meta(log: TrajectoryLog, dynamics: Dynamics, config: SolverConfig,
               ball: SupportBall) -> None:
     L = M = 0.0
@@ -232,128 +223,80 @@ def _log_meta(log: TrajectoryLog, dynamics: Dynamics, config: SolverConfig,
                          dt=config.dt))
 
 
-def _snapshot_due(t: float, last: float, every: Optional[float]) -> bool:
-    return every is not None and t - last >= every - 1e-12
+def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
+           ball: SupportBall, V: MomentFunctional) -> TrajectoryLog:
+    """Evolve mu0 to t_end, logging diagnostics every ``log_every`` steps.
 
-
-def _evolve_grid(mu0: GridMeasure, dynamics: Dynamics, config: SolverConfig,
-                 ball: SupportBall, V: MomentFunctional) -> TrajectoryLog:
+    Fields are tapered to zero at the edge of the ball.  Raises
+    :class:`SupportEscapeError` if mass leaves B(0, R) beyond one cell width
+    (grid) or 1e-9 (particles).
+    """
+    grid = isinstance(mu0, GridMeasure)
     mu = mu0
-    edges, centers = mu.edges, mu.centers
     taper = dynamics.taper if dynamics.taper is not None else ball.radius / 10.0
-    cut_e = ball_cutoff(edges, ball, taper)
-    cut_c = ball_cutoff(centers, ball, taper)
-    Kf = (cut_c[:, None] * dynamics.f_kernel.field_matrix(centers, centers)
-          if dynamics.f_kernel else None)
-    Gg_e = [g.field_operator(edges, centers) for g in dynamics.g_kernels]
-    Gg_c = [g.field_operator(centers, centers) for g in dynamics.g_kernels]
+    f = dynamics.f_kernel
+    Kf = None
+    if grid and f is not None:
+        # the drift moves cell contents with velocities at the midpoints
+        c = mu.centers
+        Kf = ball_cutoff(c, ball, taper)[:, None] * f.field_matrix(c, c)
 
     state = dynamics.controller
-    log = TrajectoryLog(dt=config.dt, dx=mu.dx)
+    log = TrajectoryLog(dt=config.dt, dx=mu.dx if grid else 0.0)
     _log_meta(log, dynamics, config, ball)
     n_steps = int(round(config.t_end / config.dt))
     last_snap = -math.inf
     t = 0.0
     for k in range(n_steps + 1):
-        mass = mu.cell_mass
-        g_e = [G(mass) * cut_e for G in Gg_e]
-        g_c = [G(mass) * cut_c for G in Gg_c]
-
-        ctrl = None
-        slope_now = 0.0
-        if state is not None:
-            g_fields = [
-                (lambda xs, gv=gv: np.interp(np.asarray(xs, dtype=float), centers, gv))
-                for gv in g_c
-            ]
-            decision, state = decide_multi(t, mu, state, g_fields, V)
-            ctrl = decision.control
-            slope_now = decision.best_slope
-            if decision.switched:
-                log.switch_times.append(t)
-        elif dynamics.prescribed_control is not None:
-            u_fn = dynamics.prescribed_control(t)
-        v_e = np.zeros_like(edges)
-        if ctrl is not None:
-            v_e = ctrl.u(edges) * g_e[ctrl.field_index]
-        elif state is None and dynamics.prescribed_control is not None:
-            v_e = np.asarray(u_fn(edges), dtype=float) * g_e[0]
-
-        if k % config.log_every == 0 or k == n_steps:
-            lo, hi = _check_support(mu, ball, mu.dx + 1e-9)
-            log.append(t, value(V, mu), slope_now, ctrl, total_mass(mu),
-                       sup_norm(mu), lo, hi)
-            # the two velocities the step uses: drift at midpoints, control at edges
-            div = np.max(np.abs(np.diff(v_e)))
-            if Kf is not None:
-                div += np.max(np.abs(np.diff(Kf @ mass)))
-            log.div_sup.append(float(div / mu.dx))
-        if _snapshot_due(t, last_snap, config.snapshot_every):
-            log.snapshots.append((t, mu))
-            last_snap = t
-        if k == n_steps:
-            break
-        mu = step_grid(mu, v_e, config.dt, config.cfl_max, drift=Kf)
-        t = (k + 1) * config.dt
-    return log
-
-
-def _evolve_particles(mu0: ParticleMeasure, dynamics: Dynamics,
-                      config: SolverConfig, ball: SupportBall,
-                      V: MomentFunctional) -> TrajectoryLog:
-    mu = mu0
-    taper = dynamics.taper if dynamics.taper is not None else ball.radius / 10.0
-    state = dynamics.controller
-    log = TrajectoryLog(dt=config.dt, dx=0.0)
-    _log_meta(log, dynamics, config, ball)
-    n_steps = int(round(config.t_end / config.dt))
-    last_snap = -math.inf
-    t = 0.0
-    for k in range(n_steps + 1):
-        ax, aw = mu.x, mu.weights
-
-        def f_field(x, ax=ax, aw=aw):
-            out = np.zeros_like(np.asarray(x, dtype=float))
-            if dynamics.f_kernel is not None:
-                out = dynamics.f_kernel.field_at(x, ax, aw)
-            return out * ball_cutoff(x, ball, taper)
-
+        ax, aw = (mu.centers, mu.cell_mass) if grid else (mu.x, mu.weights)
         g_fields = [
-            (lambda x, g=g, ax=ax, aw=aw:
-             g.field_at(x, ax, aw) * ball_cutoff(x, ball, taper))
+            (lambda x, g=g: g.field_at(x, ax, aw) * ball_cutoff(x, ball, taper))
             for g in dynamics.g_kernels
         ]
 
-        ctrl = None
-        slope_now = 0.0
-        u_fn = None
+        ctrl, slope_now, u_fn = None, 0.0, None
         if state is not None:
             decision, state = decide_multi(t, mu, state, g_fields, V)
             ctrl = decision.control
             slope_now = decision.best_slope
             if decision.switched:
                 log.switch_times.append(t)
-        elif dynamics.prescribed_control is not None:
-            u_fn = dynamics.prescribed_control(t)
-
-        def total_field(x, ctrl=ctrl, u_fn=u_fn):
-            v = f_field(x)
             if ctrl is not None:
-                v = v + ctrl.u(x) * g_fields[ctrl.field_index](x)
-            elif u_fn is not None:
-                v = v + np.asarray(u_fn(x), dtype=float) * g_fields[0](x)
-            return v
+                u_fn, g_u = ctrl.u, g_fields[ctrl.field_index]
+        elif dynamics.prescribed_control is not None:
+            u_fn, g_u = dynamics.prescribed_control(t), g_fields[0]
 
+        def control(x):  # u g[mu]
+            if u_fn is None:
+                return np.zeros_like(np.asarray(x, dtype=float))
+            return np.asarray(u_fn(x), dtype=float) * g_u(x)
+
+        def velocity(x):  # f[mu] + u g[mu], for the particles
+            v = control(x)
+            return v if f is None else f.field_at(x, ax, aw) * ball_cutoff(x, ball, taper) + v
+
+        if grid:  # the drift goes through Kf, so the edge field is the control alone
+            v_e = control(mu.edges)
         if k % config.log_every == 0 or k == n_steps:
-            lo, hi = _check_support(mu, ball, 1e-9)
+            lo, hi = _check_support(mu, ball, mu.dx + 1e-9 if grid else 1e-9)
             log.append(t, value(V, mu), slope_now, ctrl, total_mass(mu),
-                       float("nan"), lo, hi)
-        if _snapshot_due(t, last_snap, config.snapshot_every):
+                       sup_norm(mu) if grid else float("nan"), lo, hi)
+            if grid:
+                # the two velocities the step uses: drift at midpoints, control at edges
+                div = np.max(np.abs(np.diff(v_e)))
+                if Kf is not None:
+                    div += np.max(np.abs(np.diff(Kf @ aw)))
+                log.div_sup.append(float(div / mu.dx))
+        every = config.snapshot_every
+        if every is not None and t - last_snap >= every - 1e-12:
             log.snapshots.append((t, mu))
             last_snap = t
         if k == n_steps:
             break
-        mu = step_particles(mu, total_field, config.dt)
+        if grid:
+            mu = step_grid(mu, v_e, config.dt, config.cfl_max, drift=Kf)
+        else:
+            mu = step_particles(mu, velocity, config.dt)
         t = (k + 1) * config.dt
     return log
 

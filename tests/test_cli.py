@@ -106,31 +106,54 @@ class TestRun:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["max_omega_mass"] <= 0.5 + 1e-3
 
-    @pytest.mark.parametrize("base, change", [
-        pytest.param("hk_free", {"bogus": 1}, id="unknown-key"),
-        pytest.param("hk_free", {"n_particles": 2000}, id="n_particles"),
-        pytest.param("hk_free", {"functional": "variance_recentred"}, id="functional"),
-        pytest.param("hk_free", {"dt": 0.0}, id="dt-zero"),
-        pytest.param("hk_free", {"dt": -1.0}, id="dt-negative"),
-        pytest.param("hk_free", {"dt": "0.1"}, id="dt-string"),
-        pytest.param("hk_free", {"n_cells": 0}, id="no-cells"),
-        pytest.param("hk_free", {"dt": 5.0, "t_end": 1.0}, id="t_end-below-dt"),
-        pytest.param("hk_free", {"kernel": "nope"}, id="unknown-kernel"),
-        pytest.param("hk_free", {"kernel_params": {"epsilon": 0.1}}, id="epsilon-twice"),
+    def test_concentration_t_end(self, tmp_path):
+        d = ScenarioSpec.builtin("concentration").to_dict()
+        d["concentration"]["n_particles"] = 300
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out),
+                        "--t-end", "0.1"]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[0]) == pytest.approx(0.1, abs=1e-12)
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                        "--t-end", "1.0"]) == 2
+
+    @pytest.mark.parametrize("base, change, flags", [
+        pytest.param("hk_free", {"bogus": 1}, (), id="unknown-key"),
+        pytest.param("hk_free", {"n_particles": 2000}, (), id="n_particles"),
+        pytest.param("hk_free", {"functional": "variance_recentred"}, (), id="functional"),
+        pytest.param("hk_free", {"dt": 0.0}, (), id="dt-zero"),
+        pytest.param("hk_free", {"dt": -1.0}, (), id="dt-negative"),
+        pytest.param("hk_free", {"dt": "0.1"}, (), id="dt-string"),
+        pytest.param("hk_free", {"n_cells": 0}, (), id="no-cells"),
+        pytest.param("hk_free", {"dt": 5.0, "t_end": 1.0}, (), id="t_end-below-dt"),
+        pytest.param("hk_free", {"kernel": "nope"}, (), id="unknown-kernel"),
+        pytest.param("hk_free", {"kernel_params": {"epsilon": 0.1}}, (), id="epsilon-twice"),
         pytest.param("hk_ctrl_h05", {"controller": {"h": 1.5, "c": 2.0, "kappa": 0.8}},
-                     id="h-above-1"),
+                     (), id="h-above-1"),
         pytest.param("hk_ctrl_h05", {"controller": {"h": 0.0, "c": 2.0, "kappa": 0.8}},
-                     id="h-zero"),
-        pytest.param("hk_free", {"backend": "particles"}, id="particles-on-grid"),
-        pytest.param("concentration", {"backend": "grid"}, id="grid-on-concentration"),
+                     (), id="h-zero"),
+        pytest.param("hk_free", {"backend": "particles"}, (), id="particles-on-grid"),
+        pytest.param("concentration", {"backend": "grid"}, (), id="grid-on-concentration"),
+        pytest.param("hk_ctrl_h05", {"controller": {"h": 0.5, "c": 2.0, "kapa": 0.8}}, (),
+                     id="controller-misspelt-key"),
+        pytest.param("hk_ctrl_h05", {"controller": {"h": 0.5, "c": 2.0, "kappa": 0.8,
+                                                    "search": {"n_a": 32}}}, (),
+                     id="controller-search"),
+        pytest.param("hk_free", {"n_cells": 10.5}, (), id="fractional-cells"),
+        pytest.param("concentration", {}, ("--cells", "100"), id="cells-on-concentration"),
+        pytest.param("concentration", {}, ("--seed", "7"), id="seed-on-concentration"),
+        pytest.param("concentration", {"controller": {"h": 0.5, "c": 2.0, "kappa": 0.8}}, (),
+                     id="controller-and-concentration"),
     ])
-    def test_config_error_exit_2(self, tmp_path, capsys, base, change):
+    def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()
         d.update(change)
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps(d))
         out = tmp_path / "o"
-        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err, err
         assert not out.exists()
