@@ -10,20 +10,13 @@ compares the CSV outputs.  Regenerate (and review the diff) only after an
 intentional change to the numerics or the log format.
 """
 import shutil
+import sys
 from pathlib import Path
 
 from mfjq.cli import main as cli_main
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
-
-# scenario name -> (extra CLI flags, keep every snapshot); keep in sync with
-# tests/test_golden.py.  The concentration demo keeps its trajectory and last
-# snapshot only: its 48 snapshots would take 4.2 MB.
-RUNS = {
-    "hk_free": (["--t-end", "2.0"], True),
-    "hk_ctrl_h05": (["--t-end", "3.0", "--cells", "100"], True),
-    "concentration": ([], False),
-}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.test_golden import GOLDEN_DIR, RUNS  # noqa: E402
 
 
 def main():

@@ -9,7 +9,7 @@ from .kernels import (HKKernel, InteractionKernel, constant_kernel, make_kernel,
 from .lyapunov import (MomentFunctional, lie_derivative,
                        lie_derivative_fd_oracle, value, variance_about)
 from .controller import (ActiveControl, BumpParams, ControlDecision,
-                         ControllerState, SearchConfig, bump_1d, decide_multi,
+                         ControllerState, bump_1d, decide_multi,
                          search_maximizer, slope)
 from .solver import (Dynamics, SolverConfig, SupportEscapeError, TrajectoryLog,
                      check_linf_bound, evolve, stability_probe, step_grid,

@@ -15,7 +15,7 @@ so a full candidate grid costs O((n_atoms + n_candidates) log n_atoms).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -133,16 +133,8 @@ def slope(mu: Measure, g_field: Callable, V: MomentFunctional,
 # Controller state machine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchConfig:
-    n_a: int = 64          # candidate bump centers
-    n_w: int = 16          # candidate plateau widths
-    n_eta: int = 8         # candidate ramp widths
-    refinement_rounds: int = 2
-
-    def __post_init__(self):
-        if min(self.n_a, self.n_w, self.n_eta) < 2:
-            raise ValueError("all search grid counts must be >= 2")
+# Search grid: bump centres, plateau widths, ramp widths, refinement rounds.
+N_A, N_W, N_ETA, REFINE_ROUNDS = 64, 16, 8, 2
 
 
 @dataclass(frozen=True)
@@ -153,9 +145,7 @@ class ControllerState:
     h: float                       # hysteresis parameter in (0, 1)
     radius: float                  # search window [-R, R]
     kappa: float = 1.0             # threshold scale
-    eps_sign: float = 1e-9         # sign deadband
     eta_floor: float = 0.0         # resolution floor for the ramp width
-    search: SearchConfig = field(default_factory=SearchConfig)
     active: Optional[ActiveControl] = None
     t_n: float = 0.0               # last switch time
     n_switches: int = 0
@@ -165,6 +155,8 @@ class ControllerState:
             raise ValueError("hysteresis h must lie in (0, 1)")
         if not self.c > 0:
             raise ValueError("sparsity budget c must be positive")
+        if not self.kappa > 0:
+            raise ValueError("threshold scale kappa must be positive")
 
     # Threshold schedule: finite at t = 0, decreasing to 0, with
     # phi_1 < phi_2 < phi_3 at every time.
@@ -191,34 +183,30 @@ class ControlDecision:
     candidate_slope: float = 0.0  # slope of the challenger at a hysteresis switch
 
 
-def _candidate_grid(state: ControllerState, t: float, strict: bool):
-    eta_lo = state.eta_min(t, strict)
-    eta_hi = state.c / 2.0
-    if eta_lo > eta_hi:
-        return None
-    cfg = state.search
-    etas = np.linspace(eta_lo, eta_hi, cfg.n_eta)
-    ms, ws, es = [], [], []
-    centers = np.linspace(-state.radius, state.radius, cfg.n_a)
-    for eta in etas:
-        w_max = max(state.c - 2.0 * eta, 0.0)
-        widths = np.linspace(0.0, w_max, cfg.n_w)
-        m, w = np.meshgrid(centers, widths, indexing="ij")
-        ms.append(m.ravel())
-        ws.append(w.ravel())
-        es.append(np.full(m.size, eta))
-    return np.concatenate(ms), np.concatenate(ws), np.concatenate(es)
+def _grid(centers, etas, w_lo, w_hi, c: float):
+    """Every (center, width, eta) candidate: eta-major, then center, then width.
+
+    The N_W widths run evenly from w_lo to w_hi (scalars, or one value per
+    eta) and are clipped to the admissible [0, c - 2*eta].
+    """
+    lo, hi = np.reshape(w_lo, (-1, 1)), np.reshape(w_hi, (-1, 1))
+    # np.linspace written out: given one zero-length row, numpy's array
+    # linspace divides before it multiplies on every row, moving last bits
+    widths = lo + np.arange(N_W) * ((hi - lo) / (N_W - 1))
+    widths[:, -1:] = hi
+    widths = np.clip(widths, 0.0, np.maximum(c - 2.0 * etas, 0.0)[:, None])
+    shape = (etas.size, centers.size, N_W)
+    return (np.broadcast_to(centers[:, None], shape).ravel(),
+            np.broadcast_to(widths[:, None, :], shape).ravel(),
+            np.broadcast_to(etas[:, None, None], shape).ravel())
 
 
-def _pick_best(a, b, eta, s_abs, s_signed):
+def _pick_best(a, b, eta, s_abs) -> int:
     smax = float(s_abs.max())
     tol = max(1e-12, 1e-9 * smax)
-    mask = s_abs >= smax - tol
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(s_abs >= smax - tol)
     # deterministic tie-break: lexicographically smallest (a, b, eta)
-    sub = np.lexsort((eta[idx], b[idx], a[idx]))
-    k = idx[sub[0]]
-    return k, smax
+    return idx[np.lexsort((eta[idx], b[idx], a[idx]))[0]]
 
 
 def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
@@ -229,85 +217,51 @@ def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
     admissible set is empty.  Ties are broken toward the lexicographically
     smallest (a, b, eta) and then the smallest field index.
     """
-    grid = _candidate_grid(state, t, strict)
-    if grid is None:
+    c, R = state.c, state.radius
+    eta_lo = state.eta_min(t, strict)
+    if eta_lo > c / 2.0:
         return None
-    m0, w0, e0 = grid
+    etas = np.linspace(eta_lo, c / 2.0, N_ETA)
+    coarse = _grid(np.linspace(-R, R, N_A), etas, 0.0,
+                   np.maximum(c - 2.0 * etas, 0.0), c)
+    dm, dw, de = 2.0 * R / (N_A - 1), c / (N_W - 1), c / 2.0 / (N_ETA - 1)
     best = None  # (slope, field_index, a, b, eta, signed)
     for i, ev in enumerate(evaluators):
-        m, w, e = m0, w0, e0
-        for round_ in range(state.search.refinement_rounds + 1):
-            a = m - 0.5 * w
-            b = m + 0.5 * w
+        m, w, e = coarse
+        for round_ in range(REFINE_ROUNDS + 1):
+            if round_:  # re-grid one coarse cell around the best candidate
+                m_c, w_c, e_c = float(m[k]), float(w[k]), float(e[k])
+                m, w, e = _grid(
+                    np.clip(np.linspace(m_c - dm, m_c + dm, N_A), -R, R),
+                    np.clip(np.linspace(e_c - de, e_c + de, N_ETA), eta_lo, c / 2.0),
+                    w_c - dw, w_c + dw, c)
+            a, b = m - 0.5 * w, m + 0.5 * w
             signed = ev.signed_batch(a, b, e)
             s_abs = np.abs(signed)
-            k, _ = _pick_best(a, b, e, s_abs, signed)
+            k = _pick_best(a, b, e, s_abs)
             cand = (float(s_abs[k]), i, float(a[k]), float(b[k]), float(e[k]),
                     float(signed[k]))
             if best is None or cand[0] > best[0] + 1e-15:
                 best = cand
-            if round_ == state.search.refinement_rounds:
-                break
-            m, w, e = _refine_grid(state, t, strict, float(m[k]), float(w[k]),
-                                   float(e[k]))
     if best is None:
         return None
     s, i, a, b, eta, signed = best
     return BumpParams(a, b, eta), i, s, signed
 
 
-def _refine_grid(state: ControllerState, t: float, strict: bool,
-                 m_c: float, w_c: float, e_c: float):
-    """Local grid around the current best cell, clipped to the admissible set."""
-    cfg = state.search
-    R = state.radius
-    dm = 2.0 * R / (cfg.n_a - 1)
-    dw = state.c / (cfg.n_w - 1)
-    de = state.c / 2.0 / (cfg.n_eta - 1)
-    eta_lo = state.eta_min(t, strict)
-    etas = np.clip(np.linspace(e_c - de, e_c + de, cfg.n_eta), eta_lo, state.c / 2.0)
-    centers = np.clip(np.linspace(m_c - dm, m_c + dm, cfg.n_a), -R, R)
-    ms, ws, es = [], [], []
-    for eta in etas:
-        w_max = max(state.c - 2.0 * eta, 0.0)
-        widths = np.clip(np.linspace(w_c - dw, w_c + dw, cfg.n_w), 0.0, w_max)
-        m, w = np.meshgrid(centers, widths, indexing="ij")
-        ms.append(m.ravel())
-        ws.append(w.ravel())
-        es.append(np.full(m.size, eta))
-    return np.concatenate(ms), np.concatenate(ws), np.concatenate(es)
-
-
-def _sign_with_deadband(z: float, eps: float) -> int:
-    if z > eps:
-        return 1
-    if z < -eps:
-        return -1
-    return 0
-
-
 def _step_entry(t: float, state: ControllerState,
                 evaluators: Sequence[SlopeEvaluator],
                 current_slope: float) -> tuple[ControlDecision, ControllerState]:
     found = search_maximizer(evaluators, t, state, strict=False)
+    ctrl, s = None, 0.0
     if found is not None:
         params, i, s, signed = found
-    if found is None or s < state.phi2(t):
-        new = replace(state, active=None, t_n=t,
-                      n_switches=state.n_switches + 1)
-        best = 0.0 if found is None else s
-        return (ControlDecision(None, True, best_slope=best,
-                                current_slope=current_slope), new)
-    sgn = _sign_with_deadband(signed, state.eps_sign)
-    if sgn == 0:
-        # unreachable when eps_sign < phi2 over the horizon; treat as idle
-        new = replace(state, active=None, t_n=t, n_switches=state.n_switches + 1)
-        return (ControlDecision(None, True, best_slope=s,
-                                current_slope=current_slope), new)
-    ctrl = ActiveControl(params, -sgn, i)
+        # kappa > 0 makes phi2 > 0, so an accepted slope has a definite sign
+        if s >= state.phi2(t):
+            ctrl = ActiveControl(params, -1 if signed > 0 else 1, i)
     new = replace(state, active=ctrl, t_n=t, n_switches=state.n_switches + 1)
     return (ControlDecision(ctrl, True, best_slope=s, current_slope=current_slope,
-                            candidate_slope=s), new)
+                            candidate_slope=s if ctrl else 0.0), new)
 
 
 def decide_multi(t: float, mu: Measure, state: ControllerState,

@@ -91,6 +91,8 @@ class ScenarioSpec:
                 d["controller"][k] = v
             elif k in ("cells", "seed") and d.get("concentration") is not None:
                 raise ValueError(f"override {k!r} has no effect on the concentration demo")
+            elif k == "seed" and d.get("initial_density") is not None:
+                raise ValueError("override 'seed' has no effect on a spec with initial_density")
             elif k == "cells":
                 d["n_cells"] = v
             else:
@@ -111,13 +113,28 @@ class ScenarioSpec:
             raise ValueError(f"t_end {self.t_end} is shorter than one step dt={self.dt}")
         if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
             raise ValueError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
+        if self.initial_density is not None and len(self.initial_density) != self.n_cells:
+            raise ValueError(f"initial_density has {len(self.initial_density)} cells, "
+                             f"n_cells is {self.n_cells}")
+        lo, hi = self.domain
+        if not hi > lo:
+            raise ValueError(f"domain [{lo}, {hi}] must run from low to high")
+        SupportBall(self.radius)
         make_kernel(self.kernel, epsilon=self.epsilon, **self.kernel_params)
         if self.controller is not None:
             if self.concentration is not None:
                 raise ValueError("a spec has a controller or a concentration demo, not both")
             _controller_state(self)
         if self.concentration is not None:
-            t_max = default_epsilon_schedule(self.concentration["c"])[-1][0]
+            conc = self.concentration
+            if "c" not in conc or not set(conc) <= {"c", "n_particles", "n_intervals"}:
+                raise ValueError("concentration takes the key c and optionally "
+                                 f"n_particles, n_intervals; got {', '.join(sorted(conc))}")
+            for key in ("n_particles", "n_intervals"):
+                n = conc.get(key, 1)
+                if not (isinstance(n, int) and n >= 1):
+                    raise ValueError(f"concentration {key} must be an integer >= 1, got {n!r}")
+            t_max = default_epsilon_schedule(conc["c"])[-1][0]
             if self.t_end > t_max:
                 raise ValueError(f"t_end {self.t_end} is past the end {t_max:.6g} "
                                  "of the concentration demo's gain schedule")

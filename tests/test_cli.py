@@ -146,6 +146,20 @@ class TestRun:
         pytest.param("concentration", {}, ("--seed", "7"), id="seed-on-concentration"),
         pytest.param("concentration", {"controller": {"h": 0.5, "c": 2.0, "kappa": 0.8}}, (),
                      id="controller-and-concentration"),
+        pytest.param("hk_ctrl_h05", {}, ("--kappa", "0"), id="kappa-zero"),
+        pytest.param("hk_ctrl_h05", {}, ("--kappa", "-1"), id="kappa-negative"),
+        pytest.param("concentration", {"concentration": {"c": 0.5, "n_particle": 300}}, (),
+                     id="concentration-misspelt-key"),
+        pytest.param("concentration", {"concentration": {"c": 0.5, "n_particles": 0}}, (),
+                     id="no-particles"),
+        pytest.param("concentration", {"concentration": {"c": 0.5, "n_intervals": 0}}, (),
+                     id="no-intervals"),
+        pytest.param("hk_free", {"n_cells": 10, "initial_density": [0.1] * 10},
+                     ("--cells", "50"), id="cells-on-initial-density"),
+        pytest.param("hk_free", {"n_cells": 10, "initial_density": [0.1] * 10},
+                     ("--seed", "3"), id="seed-on-initial-density"),
+        pytest.param("hk_free", {"radius": 0}, (), id="radius-zero"),
+        pytest.param("hk_free", {"domain": [5, -5]}, (), id="domain-reversed"),
     ])
     def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()

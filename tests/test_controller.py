@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfjq.controller import (ActiveControl, BumpParams, ControllerState,
-                             SearchConfig, SlopeEvaluator, bump_1d, decide_multi,
+                             SlopeEvaluator, bump_1d, decide_multi,
                              search_maximizer, slope)
 from mfjq.lyapunov import variance_about
 from mfjq.measures import GridMeasure, ParticleMeasure
@@ -125,7 +125,7 @@ class TestAdmissible:
         with pytest.raises(ValueError):
             ControllerState(c=-1.0, h=0.5, radius=10.0)
         with pytest.raises(ValueError):
-            SearchConfig(n_a=1)
+            ControllerState(c=2.0, h=0.5, radius=10.0, kappa=0.0)
 
 
 class TestSearchMaximizer:
@@ -158,11 +158,11 @@ class TestSearchMaximizer:
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
         t = 10.0
         _, _, s, _ = search_maximizer([ev], t, state)
-        fine = ControllerState(
-            c=2.0, h=0.5, radius=6.0,
-            search=SearchConfig(n_a=640, n_w=160, n_eta=16, refinement_rounds=0))
-        from mfjq.controller import _candidate_grid
-        m, w, e = _candidate_grid(fine, t, False)
+        # 640 centres x 160 widths x 16 ramp widths spanning the admissible set
+        m, frac, e = np.meshgrid(np.linspace(-6.0, 6.0, 640), np.linspace(0.0, 1.0, 160),
+                                 np.linspace(state.eta_min(t), state.c / 2.0, 16),
+                                 indexing="ij")
+        w = frac * (state.c - 2.0 * e)
         best_fine = float(np.abs(ev.signed_batch(m - w / 2, m + w / 2, e)).max())
         assert s >= best_fine * 0.98
 
