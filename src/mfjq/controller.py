@@ -11,7 +11,9 @@ u*g) is maximal over the admissible parameter set
 with a hysteresis margin h preventing chattering between near-optimal bumps.
 
 Slopes are evaluated with prefix sums over the sorted atoms of the measure,
-so a full candidate grid costs O((n_atoms + n_candidates) log n_atoms).
+so a round of the search costs O((n_atoms + n_candidates) log n_atoms).  The
+clips to the admissible set and to [-R, R] make copies of many grid points;
+each round scores its distinct candidates only, at most N_A * N_W * N_ETA.
 """
 from __future__ import annotations
 
@@ -183,11 +185,21 @@ class ControlDecision:
     candidate_slope: float = 0.0  # slope of the challenger at a hysteresis switch
 
 
+def _distinct(v) -> np.ndarray:
+    """True at the first entry of each run of equal values along the last axis."""
+    keep = np.ones(v.shape, dtype=bool)
+    keep[..., 1:] = v[..., 1:] != v[..., :-1]
+    return keep
+
+
 def _grid(centers, etas, w_lo, w_hi, c: float):
-    """Every (center, width, eta) candidate: eta-major, then center, then width.
+    """Each distinct (center, width, eta) candidate once: eta-major, then
+    center, then width.
 
     The N_W widths run evenly from w_lo to w_hi (scalars, or one value per
-    eta) and are clipped to the admissible [0, c - 2*eta].
+    eta) and are clipped to the admissible [0, c - 2*eta].  Every axis is
+    sorted, so the copies its clip makes are adjacent and only the first of
+    each run is kept; equal etas must come with equal width rows.
     """
     lo, hi = np.reshape(w_lo, (-1, 1)), np.reshape(w_hi, (-1, 1))
     # np.linspace written out: given one zero-length row, numpy's array
@@ -195,10 +207,17 @@ def _grid(centers, etas, w_lo, w_hi, c: float):
     widths = lo + np.arange(N_W) * ((hi - lo) / (N_W - 1))
     widths[:, -1:] = hi
     widths = np.clip(widths, 0.0, np.maximum(c - 2.0 * etas, 0.0)[:, None])
-    shape = (etas.size, centers.size, N_W)
-    return (np.broadcast_to(centers[:, None], shape).ravel(),
-            np.broadcast_to(widths[:, None, :], shape).ravel(),
-            np.broadcast_to(etas[:, None, None], shape).ravel())
+    rows = _distinct(etas)
+    centers, etas, widths = centers[_distinct(centers)], etas[rows], widths[rows]
+    keep = _distinct(widths)
+    n_w = keep.sum(axis=1)                   # distinct widths per eta
+    run = np.repeat(n_w, centers.size)       # one run of widths per (eta, center)
+    # each candidate's index into widths[keep]: its place in the output, less
+    # where its run starts, plus where its eta's widths start
+    shift = np.cumsum(run) - run - np.repeat(np.cumsum(n_w) - n_w, centers.size)
+    idx = np.arange(run.sum()) - np.repeat(shift, run)
+    return (np.repeat(np.tile(centers, etas.size), run), widths[keep][idx],
+            np.repeat(etas, n_w * centers.size))
 
 
 def _pick_best(a, b, eta, s_abs) -> int:

@@ -57,7 +57,7 @@ class ScenarioSpec:
             raise ValueError("spec has no name")
         d = dict(d)
         for key in ("interval", "domain"):
-            if key in d and d[key] is not None:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)
 
@@ -75,8 +75,9 @@ class ScenarioSpec:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["interval"] = list(self.interval)
-        d["domain"] = list(self.domain)
+        for key in ("interval", "domain"):
+            if isinstance(d[key], tuple):
+                d[key] = list(d[key])
         return d
 
     def apply_overrides(self, **kw) -> "ScenarioSpec":
@@ -116,9 +117,18 @@ class ScenarioSpec:
         if self.initial_density is not None and len(self.initial_density) != self.n_cells:
             raise ValueError(f"initial_density has {len(self.initial_density)} cells, "
                              f"n_cells is {self.n_cells}")
-        lo, hi = self.domain
-        if not hi > lo:
-            raise ValueError(f"domain [{lo}, {hi}] must run from low to high")
+        for key in ("domain", "interval"):
+            pair = getattr(self, key)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(_is_finite_number(v) for v in pair)):
+                raise ValueError(f"{key} must be two finite numbers, got {pair!r}")
+            lo, hi = pair
+            if not hi > lo:
+                raise ValueError(f"{key} [{lo}, {hi}] must run from low to high")
+        if (self.concentration is None and self.initial_density is None
+                and not _interval_cells(self).any()):
+            raise ValueError(f"interval {list(self.interval)} holds no cell centre "
+                             f"of the {self.n_cells}-cell grid on {list(self.domain)}")
         SupportBall(self.radius)
         make_kernel(self.kernel, epsilon=self.epsilon, **self.kernel_params)
         if self.controller is not None:
@@ -183,15 +193,25 @@ def detect_clusters(mu: GridMeasure, gap: float, floor: float) -> ClusterReport:
     return ClusterReport(tuple(clusters), consensus)
 
 
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+
+
+def _interval_cells(spec: ScenarioSpec) -> np.ndarray:
+    """Which cells of the spec's grid have their centre in ``interval``."""
+    x_min, x_max = spec.domain
+    dx = (x_max - x_min) / spec.n_cells
+    centers = x_min + (np.arange(spec.n_cells) + 0.5) * dx
+    lo, hi = spec.interval
+    return (centers >= lo) & (centers <= hi)
+
+
 def make_initial_measure(spec: ScenarioSpec) -> GridMeasure:
     """Uniform-random cell masses on the initial interval, fixed by the seed."""
     x_min, x_max = spec.domain
     if spec.initial_density is not None:
         return GridMeasure(x_min, x_max, np.asarray(spec.initial_density))
-    dx = (x_max - x_min) / spec.n_cells
-    centers = x_min + (np.arange(spec.n_cells) + 0.5) * dx
-    lo, hi = spec.interval
-    inside = (centers >= lo) & (centers <= hi)
+    inside = _interval_cells(spec)
     rng = np.random.default_rng(spec.seed)
     mass = np.where(inside, rng.random(spec.n_cells), 0.0)
     return GridMeasure(x_min, x_max, mass / mass.sum())

@@ -160,6 +160,10 @@ class TestRun:
                      ("--seed", "3"), id="seed-on-initial-density"),
         pytest.param("hk_free", {"radius": 0}, (), id="radius-zero"),
         pytest.param("hk_free", {"domain": [5, -5]}, (), id="domain-reversed"),
+        pytest.param("hk_free", {"domain": "ab"}, (), id="domain-not-numbers"),
+        pytest.param("hk_free", {"interval": [10, 0]}, (), id="interval-reversed"),
+        pytest.param("hk_free", {"interval": [0.01, 0.02], "n_cells": 10}, (),
+                     id="interval-between-centres"),
     ])
     def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()

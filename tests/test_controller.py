@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfjq.controller import (ActiveControl, BumpParams, ControllerState,
-                             SlopeEvaluator, bump_1d, decide_multi,
-                             search_maximizer, slope)
+from mfjq import controller
+from mfjq.controller import (N_A, N_ETA, N_W, ActiveControl, BumpParams,
+                             ControllerState, SlopeEvaluator, bump_1d,
+                             decide_multi, search_maximizer, slope)
 from mfjq.lyapunov import variance_about
 from mfjq.measures import GridMeasure, ParticleMeasure
 
@@ -13,10 +14,56 @@ def ones(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def random_particles(rng, n, span=5.0):
-    x = rng.uniform(-span, span, n)
+def random_particles(rng, n, span=5.0, lo=None):
+    x = rng.uniform(-span if lo is None else lo, span, n)
     w = rng.uniform(0.1, 1.0, n)
     return ParticleMeasure(x[:, None], w / w.sum())
+
+
+def full_grid(centers, etas, w_lo, w_hi, c):
+    """The search grid as the full product, with the copies its clips make."""
+    lo, hi = np.reshape(w_lo, (-1, 1)), np.reshape(w_hi, (-1, 1))
+    widths = lo + np.arange(N_W) * ((hi - lo) / (N_W - 1))
+    widths[:, -1:] = hi
+    widths = np.clip(widths, 0.0, np.maximum(c - 2.0 * etas, 0.0)[:, None])
+    shape = (etas.size, centers.size, N_W)
+    return (np.broadcast_to(centers[:, None], shape).ravel(),
+            np.broadcast_to(widths[:, None, :], shape).ravel(),
+            np.broadcast_to(etas[:, None, None], shape).ravel())
+
+
+def clip_cases(seed):
+    """(name, measure, control fields, state, t, strict), one per clip of the grid."""
+    rng = np.random.default_rng(seed)
+    state = ControllerState(c=2.0, h=0.5, radius=6.0)
+    cells = np.where(np.arange(200) < 100, 0.0, rng.random(200))
+    grid = GridMeasure(-12.0, 12.0, cells / cells.sum())
+    return [
+        # mass well right of the centre: the best bump has eta = eta_min and
+        # the widest plateau c - 2*eta
+        ("caps", random_particles(rng, 40, lo=2.0), (ones,), state, 10.0, False),
+        # mass beyond R: the best centre sits at R
+        ("edge", random_particles(rng, 40, span=8.0, lo=6.5), (ones,), state, 10.0, False),
+        # eta_min = 0.999 just below c/2 = 1: almost every width clips to 0
+        ("half", random_particles(rng, 40), (ones,), state, 1.0 / 0.999 - 1.0, False),
+        # a grid measure, two fields, strict search with eta_min at its floor
+        ("grid", grid, (lambda x: 0.5 * ones(x), ones),
+         ControllerState(c=2.0, h=0.5, radius=12.0, kappa=0.8, eta_floor=0.24),
+         50.0, True),
+    ]
+
+
+def count_candidates(monkeypatch):
+    """Record the number of candidates each signed_batch call scores."""
+    sizes = []
+    real = SlopeEvaluator.signed_batch
+
+    def spy(self, a, b, eta):
+        sizes.append(np.size(a))
+        return real(self, a, b, eta)
+
+    monkeypatch.setattr(SlopeEvaluator, "signed_batch", spy)
+    return sizes
 
 
 class TestBump:
@@ -165,6 +212,46 @@ class TestSearchMaximizer:
         w = frac * (state.c - 2.0 * e)
         best_fine = float(np.abs(ev.signed_batch(m - w / 2, m + w / 2, e)).max())
         assert s >= best_fine * 0.98
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_candidates_match_full_product(self, monkeypatch, seed):
+        """Scoring each distinct candidate once returns the full product's result."""
+        sizes = count_candidates(monkeypatch)
+        V = variance_about(0.0, radius=12.0)
+        for name, mu, fields, state, t, strict in clip_cases(seed):
+            evaluators = [SlopeEvaluator(mu, g, V) for g in fields]
+            sizes.clear()
+            got = search_maximizer(evaluators, t, state, strict)
+            n_distinct = sum(sizes)
+            with monkeypatch.context() as patch:
+                patch.setattr(controller, "_grid", full_grid)
+                sizes.clear()
+                want = search_maximizer(evaluators, t, state, strict)
+            assert n_distinct < sum(sizes), name
+            p, i, s, signed = got
+            bits = [float(v).hex() for v in (p.a, p.b, p.eta, i, s, signed)]
+            q, j, r, signed_full = want
+            assert bits == [float(v).hex() for v in (q.a, q.b, q.eta, j, r, signed_full)], name
+            # the clip each case is built for bites at the answer
+            eta_lo = state.eta_min(t, strict)
+            if name in ("caps", "grid"):
+                assert p.eta == eta_lo and p.b - p.a == pytest.approx(state.c - 2 * eta_lo)
+            if name == "edge":
+                assert (p.a + p.b) / 2 == pytest.approx(state.radius)
+            if name == "half":
+                assert 0.99 * state.c / 2 < eta_lo < state.c / 2
+
+    def test_refinement_scores_distinct_candidates(self, monkeypatch):
+        """Around a best bump at eta_min and the width cap, the ramp widths
+        below eta_min and the plateau widths above c - 2*eta clip to copies,
+        which a refinement round does not score."""
+        sizes = count_candidates(monkeypatch)
+        _, mu, fields, state, t, strict = clip_cases(0)[0]
+        params, *_ = search_maximizer([SlopeEvaluator(mu, fields[0], variance_about(0.0, 12.0))],
+                                      t, state, strict)
+        assert params.eta == state.eta_min(t, strict)
+        assert len(sizes) == 3  # the coarse round and two refinement rounds
+        assert all(n < N_A * N_W * N_ETA / 4 for n in sizes[1:]), sizes
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
