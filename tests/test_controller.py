@@ -228,12 +228,11 @@ class TestSearchMaximizer:
                 sizes.clear()
                 want = search_maximizer(evaluators, t, state, strict)
             assert n_distinct < sum(sizes), name
-            p, i, s, signed = got
-            bits = [float(v).hex() for v in (p.a, p.b, p.eta, i, s, signed)]
-            q, j, r, signed_full = want
-            assert bits == [float(v).hex() for v in (q.a, q.b, q.eta, j, r, signed_full)], name
+            bits = [[float(v).hex() for v in (p.a, p.b, p.eta, *rest)]
+                    for p, *rest in (got, want)]
+            assert bits[0] == bits[1], name
             # the clip each case is built for bites at the answer
-            eta_lo = state.eta_min(t, strict)
+            p, eta_lo = got[0], state.eta_min(t, strict)
             if name in ("caps", "grid"):
                 assert p.eta == eta_lo and p.b - p.a == pytest.approx(state.c - 2 * eta_lo)
             if name == "edge":
