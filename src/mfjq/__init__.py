@@ -15,5 +15,4 @@ from .solver import (Dynamics, SolverConfig, SupportEscapeError, TrajectoryLog,
                      check_linf_bound, evolve, stability_probe, step_grid,
                      step_particles)
 from .scenarios import (ClusterReport, ScenarioSpec, detect_clusters,
-                        run_concentration_demo, run_hk_controlled,
-                        run_hk_uncontrolled)
+                        run_concentration_demo, run_hk)

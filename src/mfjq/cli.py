@@ -11,9 +11,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .scenarios import (BUILTIN_SCENARIOS, ScenarioSpec, run_concentration_demo,
-                        run_hk_controlled, run_hk_uncontrolled,
-                        default_epsilon_schedule)
+from .scenarios import (BUILTIN_SCENARIOS, ScenarioSpec, default_epsilon_schedule,
+                        run_concentration_demo, run_hk)
 from .solver import SupportEscapeError
 from .verify import SUITES, run_suite
 
@@ -81,14 +80,13 @@ def cmd_run(args) -> int:
                 dt=spec.dt, t_end=spec.t_end)
             extra = dict(max_omega_mass=float(report["omega_mass"].max()),
                          final_window_mass=float(report["window_mass"][-1]))
-        elif spec.controller is not None:
-            log, report = run_hk_controlled(spec)
-            extra = dict(consensus=report.consensus,
-                         consensus_time=log.meta.get("consensus_time"),
-                         n_clusters=report.n_clusters)
         else:
-            log, report = run_hk_uncontrolled(spec)
-            extra = dict(consensus=report.consensus, n_clusters=report.n_clusters)
+            log, report = run_hk(spec)
+            # a controlled run's meta.json lists consensus_time before n_clusters
+            timing = ({} if spec.controller is None
+                      else dict(consensus_time=log.meta["consensus_time"]))
+            extra = dict(consensus=report.consensus, **timing,
+                         n_clusters=report.n_clusters)
     except SupportEscapeError as exc:
         args.out.mkdir(parents=True, exist_ok=True)
         report_path = args.out / "violation.txt"

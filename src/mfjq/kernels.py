@@ -21,14 +21,12 @@ class InteractionKernel:
 
     ``rule(x, y)`` must accept broadcastable float arrays.  ``lipschitz_L``
     and ``bound_M`` are the declared Lipschitz constant and sup-norm bound of
-    the induced field; ``support_radius`` is the distance beyond which the
-    rule vanishes (inf for global kernels).
+    the induced field.
     """
 
     rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz_L: float
     bound_M: float
-    support_radius: float = np.inf
     name: str = "custom"
 
     def field_at(self, x_eval: np.ndarray, atoms_x: np.ndarray,
@@ -59,8 +57,8 @@ class ConstantKernel(InteractionKernel):
 
 def constant_kernel(value: float = 1.0) -> ConstantKernel:
     return ConstantKernel(rule=lambda x, y: np.full(np.broadcast(x, y).shape, value),
-                          lipschitz_L=0.0, bound_M=abs(value),
-                          support_radius=np.inf, name="constant_g", value=value)
+                          lipschitz_L=0.0, bound_M=abs(value), name="constant_g",
+                          value=value)
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,7 @@ class HKKernel:
 
         # sup over the ramp of |d/dr (phi(r) r)| is (1+eps)/eps + 1
         L = 1.0 + (1.0 + eps) / eps
-        return InteractionKernel(rule=rule, lipschitz_L=L, bound_M=1.0 + eps,
-                                 support_radius=1.0 + eps, name="hk")
+        return InteractionKernel(rule=rule, lipschitz_L=L, bound_M=1.0 + eps, name="hk")
 
 
 def make_kernel(name: str, **params) -> InteractionKernel:

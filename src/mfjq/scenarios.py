@@ -112,8 +112,10 @@ class ScenarioSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end {self.t_end} is shorter than one step dt={self.dt}")
-        if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
+        if not _is_int(self.n_cells, 1):
             raise ValueError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
+        if not _is_int(self.seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.initial_density is not None and len(self.initial_density) != self.n_cells:
             raise ValueError(f"initial_density has {len(self.initial_density)} cells, "
                              f"n_cells is {self.n_cells}")
@@ -142,7 +144,7 @@ class ScenarioSpec:
                                  f"n_particles, n_intervals; got {', '.join(sorted(conc))}")
             for key in ("n_particles", "n_intervals"):
                 n = conc.get(key, 1)
-                if not (isinstance(n, int) and n >= 1):
+                if not _is_int(n, 1):
                     raise ValueError(f"concentration {key} must be an integer >= 1, got {n!r}")
             t_max = default_epsilon_schedule(conc["c"])[-1][0]
             if self.t_end > t_max:
@@ -193,6 +195,10 @@ def detect_clusters(mu: GridMeasure, gap: float, floor: float) -> ClusterReport:
     return ClusterReport(tuple(clusters), consensus)
 
 
+def _is_int(v, lo: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
 def _is_finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
 
@@ -229,42 +235,29 @@ def _controller_state(spec: ScenarioSpec) -> ControllerState:
                            kappa=cfg["kappa"], eta_floor=2.0 * dx)
 
 
-def _solver_config(spec: ScenarioSpec) -> SolverConfig:
-    return SolverConfig(dt=spec.dt, t_end=spec.t_end,
-                        snapshot_every=spec.snapshot_every)
+def run_hk(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]:
+    """Bounded-confidence evolution; reports the surviving opinion clusters.
 
-
-def run_hk_uncontrolled(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]:
-    """Free evolution; reports the surviving opinion clusters."""
+    With ``spec.controller`` set, the sparse feedback acts through a constant
+    control kernel, and the log's meta records ``consensus_time``, the first
+    time V drops below 1% of V(0).
+    """
     mu0 = make_initial_measure(spec)
     V = variance_about(moment(mu0, lambda x: x), spec.radius)
     f = make_kernel(spec.kernel, epsilon=spec.epsilon, **spec.kernel_params)
-    dyn = Dynamics(f_kernel=f)
-    log = evolve(mu0, dyn, _solver_config(spec), SupportBall(spec.radius), V)
-    final = log.snapshots[-1][1] if log.snapshots else mu0
-    report = detect_clusters(final, gap=1.0 + spec.epsilon,
-                             floor=spec.cluster_mass_floor)
-    log.meta["cluster_report"] = report
-    return log, report
-
-
-def run_hk_controlled(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]:
-    """Feedback-controlled evolution; logs the time V drops below 1% of V(0)."""
     if spec.controller is None:
-        raise ValueError("controlled scenario needs a controller config")
-    mu0 = make_initial_measure(spec)
-    V = variance_about(moment(mu0, lambda x: x), spec.radius)
-    f = make_kernel(spec.kernel, epsilon=spec.epsilon, **spec.kernel_params)
-    dyn = Dynamics(f_kernel=f, g_kernels=(constant_kernel(1.0),),
-                   controller=_controller_state(spec))
-    log = evolve(mu0, dyn, _solver_config(spec), SupportBall(spec.radius), V)
-    v = log.V
-    below = np.flatnonzero(v < 0.01 * v[0])
-    log.meta["consensus_time"] = float(log.t[below[0]]) if below.size else None
+        dyn = Dynamics(f_kernel=f)
+    else:
+        dyn = Dynamics(f_kernel=f, g_kernels=(constant_kernel(1.0),),
+                       controller=_controller_state(spec))
+    config = SolverConfig(dt=spec.dt, t_end=spec.t_end, snapshot_every=spec.snapshot_every)
+    log = evolve(mu0, dyn, config, SupportBall(spec.radius), V)
+    if spec.controller is not None:
+        below = np.flatnonzero(log.V < 0.01 * log.V[0])
+        log.meta["consensus_time"] = float(log.t[below[0]]) if below.size else None
     final = log.snapshots[-1][1] if log.snapshots else mu0
     report = detect_clusters(final, gap=1.0 + spec.epsilon,
                              floor=spec.cluster_mass_floor)
-    log.meta["cluster_report"] = report
     return log, report
 
 

@@ -17,7 +17,6 @@ advance along characteristics with RK4.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -28,7 +27,7 @@ from .controller import ControllerState, decide_multi
 from .kernels import InteractionKernel, ball_cutoff
 from .lyapunov import MomentFunctional, value
 from .measures import (GridMeasure, Measure, ParticleMeasure, SupportBall,
-                       support_bounds, sup_norm, total_mass)
+                       support_bounds, sup_norm, total_mass, write_csv)
 
 
 class SupportEscapeError(RuntimeError):
@@ -39,15 +38,12 @@ class SupportEscapeError(RuntimeError):
 class SolverConfig:
     dt: float
     t_end: float
-    cfl_max: float = 0.9
     snapshot_every: Optional[float] = None
     log_every: int = 1
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not (0.0 < self.cfl_max < 1.0):
-            raise ValueError("cfl_max must lie in (0, 1)")
 
 
 CSV_COLUMNS = ["t", "V", "slope", "control_a", "control_b", "control_eta",
@@ -89,11 +85,7 @@ class TrajectoryLog:
         return len(self.switch_times)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                w.writerow([f"{v:.12g}" for v in row])
+        write_csv(path, CSV_COLUMNS, self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +286,7 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
         if k == n_steps:
             break
         if grid:
-            mu = step_grid(mu, v_e, config.dt, config.cfl_max, drift=Kf)
+            mu = step_grid(mu, v_e, config.dt, drift=Kf)
         else:
             mu = step_particles(mu, velocity, config.dt)
         t = (k + 1) * config.dt

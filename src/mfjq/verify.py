@@ -7,7 +7,6 @@ dissipativity of the uncontrolled drift); `all` aggregates them.
 """
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Optional
@@ -19,7 +18,7 @@ from .kernels import HKKernel, constant_kernel, nonlocal_field
 from .lyapunov import (lie_derivative, lie_derivative_fd_oracle, value,
                        variance_about)
 from .measures import ParticleMeasure, barycenter
-from .scenarios import ScenarioSpec, run_hk_controlled, run_hk_uncontrolled
+from .scenarios import ScenarioSpec, run_hk
 
 SUITES = ("constraints", "conservation", "oracle", "dissipativity", "all")
 
@@ -86,7 +85,7 @@ def suite_conservation(seed: int = 2) -> list:
     """Mass, positivity, barycenter and support along a short drift run."""
     spec = ScenarioSpec(name="conservation-probe", seed=seed, t_end=2.0,
                         snapshot_every=0.5)
-    log, _ = run_hk_uncontrolled(spec)
+    log, _ = run_hk(spec)
     mass = log.column("mass")
     rows = [("mass conserved to 1e-12", bool(np.max(np.abs(mass - 1.0)) <= 1e-12),
              f"max |mass-1| {np.max(np.abs(mass - 1.0)):.2e}")]
@@ -132,19 +131,12 @@ def suite_constraints(run_dir: Optional[Path] = None) -> list:
         with open(run_dir / "meta.json") as fh:
             meta = json.load(fh)
         ctrl = (meta.get("spec") or {}).get("controller") or {}
-        cols = {k: [] for k in ("t", "control_a", "control_b", "control_eta",
-                                "control_sign")}
-        with open(run_dir / "trajectory.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                for k in cols:
-                    cols[k].append(float(row[k]))
+        log = np.genfromtxt(run_dir / "trajectory.csv", delimiter=",", names=True)
         return audit_constraints_log(
-            np.array(cols["t"]), np.array(cols["control_a"]),
-            np.array(cols["control_b"]), np.array(cols["control_eta"]),
-            np.array(cols["control_sign"]), c=ctrl.get("c", 2.0),
-            kappa=ctrl.get("kappa", 1.0))
+            log["t"], log["control_a"], log["control_b"], log["control_eta"],
+            log["control_sign"], c=ctrl.get("c", 2.0), kappa=ctrl.get("kappa", 1.0))
     spec = ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=5.0)
-    log, _ = run_hk_controlled(spec)
+    log, _ = run_hk(spec)
     return audit_constraints_log(log.t, log.column("control_a"),
                                  log.column("control_b"),
                                  log.column("control_eta"),

@@ -16,8 +16,7 @@ from mfjq.lyapunov import (lie_derivative, lie_derivative_fd_oracle,
                            variance_about)
 from mfjq.measures import (GridMeasure, ParticleMeasure, translate,
                            wasserstein_1d)
-from mfjq.scenarios import (ScenarioSpec, run_concentration_demo,
-                            run_hk_controlled, run_hk_uncontrolled)
+from mfjq.scenarios import ScenarioSpec, run_concentration_demo, run_hk
 from mfjq.solver import Dynamics, SolverConfig, check_linf_bound, stability_probe
 from mfjq.measures import SupportBall
 
@@ -43,7 +42,7 @@ def sweep():
                     (0.9, "hk_ctrl_h09")):
         spec = ScenarioSpec.builtin(name)
         t0 = time.perf_counter()
-        log, rep = run_hk_controlled(spec)
+        log, rep = run_hk(spec)
         out[h] = dict(spec=spec, log=log, report=rep,
                       wall=time.perf_counter() - t0)
     return out
@@ -52,7 +51,7 @@ def sweep():
 @pytest.fixture(scope="session")
 def free_run():
     spec = ScenarioSpec.builtin("hk_free")
-    log, rep = run_hk_uncontrolled(spec)
+    log, rep = run_hk(spec)
     return dict(spec=spec, log=log, report=rep)
 
 

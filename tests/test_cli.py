@@ -164,6 +164,11 @@ class TestRun:
         pytest.param("hk_free", {"interval": [10, 0]}, (), id="interval-reversed"),
         pytest.param("hk_free", {"interval": [0.01, 0.02], "n_cells": 10}, (),
                      id="interval-between-centres"),
+        pytest.param("hk_free", {"n_cells": True}, (), id="cells-bool"),
+        pytest.param("hk_free", {"seed": "x"}, (), id="seed-string"),
+        pytest.param("hk_free", {}, ("--seed", "-1"), id="seed-negative"),
+        pytest.param("concentration", {"concentration": {"c": 0.5, "n_particles": True}}, (),
+                     id="particles-bool"),
     ])
     def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()

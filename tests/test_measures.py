@@ -1,11 +1,15 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from mfjq.measures import (GridMeasure, ParticleMeasure, as_atoms, barycenter,
                            moment, sup_norm, support_bounds, total_mass,
-                           translate, wasserstein_1d)
+                           translate, wasserstein_1d, write_csv)
 
 
 def random_particles(rng, n, span=5.0):
@@ -100,6 +104,40 @@ class TestParticleMeasure:
             ParticleMeasure(np.array([[0.5], [1.0]]), np.array([0.5, 0.5])).x, [0.5, 1.0])
         with pytest.raises(ValueError):
             ParticleMeasure(np.zeros((1, 2)), np.array([1.0]))
+
+
+def reference_csv(path, header, rows) -> None:
+    """The csv-module writer that ``write_csv`` must reproduce byte for byte."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{v:.12g}" for v in row])
+
+
+CSV_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                     -1e-310, 1e300, -1e300, 1e-300, -1e-300]),
+    st.integers(-10**20, 10**20),
+)
+# more rows than write_csv formats in one block
+MANY_ROWS = np.random.default_rng(3).normal(size=(2500, 3)) * 1e5
+MANY_ROWS[::97, 1] = np.nan
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(CSV_NUMBERS, min_size=k, max_size=k), max_size=12)
+    .map(lambda rows: ([f"c{i}" for i in range(k)], rows))))
+@example((["a", "b", "c"], MANY_ROWS.tolist()))
+def test_write_csv_matches_csv_module(case):
+    header, rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        write_csv(ours, header, rows)
+        reference_csv(ref, header, rows)
+        assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_as_atoms_drops_zero_mass():

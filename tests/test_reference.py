@@ -13,7 +13,7 @@ import pytest
 from mfjq.kernels import HKKernel
 from mfjq.measures import GridMeasure
 from mfjq.scenarios import (ScenarioSpec, detect_clusters,
-                            make_initial_measure, run_hk_uncontrolled)
+                            make_initial_measure, run_hk)
 
 ATOMS_PER_CELL = 4
 REF_DT = 0.02
@@ -80,7 +80,7 @@ def test_windowed_field_matches_dense():
 def free_runs():
     spec = ScenarioSpec.builtin("hk_free")
     mu0 = make_initial_measure(spec)
-    log, _ = run_hk_uncontrolled(spec)
+    log, _ = run_hk(spec)
     grid = log.snapshots[-1][1]
     assert log.snapshots[-1][0] == pytest.approx(spec.t_end)
     y, w = particle_reference(mu0, spec.epsilon, spec.t_end)

@@ -7,7 +7,7 @@ from mfjq.measures import GridMeasure, total_mass
 from mfjq.scenarios import (BUILTIN_SCENARIOS, ScenarioSpec, concentration_gain,
                             default_epsilon_schedule, detect_clusters,
                             make_initial_measure, run_concentration_demo,
-                            run_hk_controlled, run_hk_uncontrolled)
+                            run_hk)
 
 
 class TestScenarioSpec:
@@ -123,7 +123,7 @@ class TestShortRuns:
 
     def test_uncontrolled_runs(self):
         spec = ScenarioSpec.builtin("hk_free").apply_overrides(t_end=2.0)
-        log, rep = run_hk_uncontrolled(spec)
+        log, rep = run_hk(spec)
         assert np.max(np.abs(log.column("mass") - 1.0)) <= 1e-12
         assert log.t[-1] == pytest.approx(2.0)
 
@@ -132,17 +132,13 @@ class TestShortRuns:
         spec = ScenarioSpec(name="narrow", n_cells=200, domain=(-3.0, 3.0),
                             radius=3.0, interval=(0.0, 0.5), t_end=8.0,
                             dt=0.01, seed=5, snapshot_every=4.0)
-        log, rep = run_hk_uncontrolled(spec)
+        log, rep = run_hk(spec)
         assert rep.consensus
         assert log.V[-1] < 0.01 * log.V[0]
 
-    def test_controlled_requires_controller(self):
-        with pytest.raises(ValueError):
-            run_hk_controlled(ScenarioSpec.builtin("hk_free"))
-
     def test_controlled_short_run_decreases_V(self):
         spec = ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=5.0)
-        log, _ = run_hk_controlled(spec)
+        log, _ = run_hk(spec)
         assert log.V[-1] < log.V[0]
         assert "consensus_time" in log.meta
 
@@ -152,7 +148,7 @@ class TestShortRuns:
         spec = ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=3.0)
         spec = ScenarioSpec.from_dict({**spec.to_dict(),
                                        "initial_density": list(m)})
-        log, _ = run_hk_controlled(spec)
+        log, _ = run_hk(spec)
         assert log.n_switches == 0
         assert np.all(np.isnan(log.column("control_eta")))
 

@@ -292,5 +292,3 @@ class TestStabilityProbe:
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_end=1.0, cfl_max=1.5)
