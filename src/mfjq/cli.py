@@ -77,7 +77,7 @@ def cmd_run(args) -> int:
             sched = default_epsilon_schedule(conc["c"], conc.get("n_intervals", 20))
             log, report = run_concentration_demo(
                 conc["c"], sched, n_particles=conc.get("n_particles", 5000),
-                dt=spec.dt, t_end=spec.t_end)
+                dt=spec.dt, t_end=spec.t_end, snapshot_every=spec.snapshot_every)
             extra = dict(max_omega_mass=float(report["omega_mass"].max()),
                          final_window_mass=float(report["window_mass"][-1]))
         else:

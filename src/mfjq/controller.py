@@ -14,6 +14,9 @@ Slopes are evaluated with prefix sums over the sorted atoms of the measure,
 so a round of the search costs O((n_atoms + n_candidates) log n_atoms).  The
 clips to the admissible set and to [-R, R] make copies of many grid points;
 each round scores its distinct candidates only, at most N_A * N_W * N_ETA.
+The coarse round also skips every centre whose window of width c cannot hold
+a bump as steep as the best probe bump (a bathtub bound on the slope), which
+leaves its winner and the refinement unchanged.
 """
 from __future__ import annotations
 
@@ -99,6 +102,9 @@ class SlopeEvaluator:
         qm = np.asarray(V.v_prime(self.x)) * np.asarray(g_field(self.x)) * w[order]
         self.c0 = np.concatenate(([0.0], np.cumsum(qm)))
         self.c1 = np.concatenate(([0.0], np.cumsum(self.x * qm)))
+        # prefix sums of the positive and negative parts, for window_bound
+        self.p0 = np.concatenate(([0.0], np.cumsum(np.maximum(qm, 0.0))))
+        self.n0 = np.concatenate(([0.0], np.cumsum(np.maximum(-qm, 0.0))))
 
     def signed_batch(self, a, b, eta) -> np.ndarray:
         """Signed rate of V along bump(a,b,eta)*g, vectorized over candidates."""
@@ -106,17 +112,36 @@ class SlopeEvaluator:
         b = np.asarray(b, dtype=float)
         eta = np.asarray(eta, dtype=float)
         x, c0, c1 = self.x, self.c0, self.c1
-        iL = np.searchsorted(x, a - eta, side="left")
+        lo, hi = a - eta, b + eta
+        iL = np.searchsorted(x, lo, side="left")
         iA = np.searchsorted(x, a, side="left")
         iB = np.searchsorted(x, b, side="right")
-        iR = np.searchsorted(x, b + eta, side="right")
+        iR = np.searchsorted(x, hi, side="right")
+        cA, cB = c0[iA], c0[iB]
         # left ramp, atoms in [a-eta, a): weight (x - a + eta) / eta
-        left = ((c1[iA] - c1[iL]) - (a - eta) * (c0[iA] - c0[iL])) / eta
+        left = ((c1[iA] - c1[iL]) - lo * (cA - c0[iL])) / eta
         # plateau, atoms in [a, b]
-        mid = c0[iB] - c0[iA]
+        mid = cB - cA
         # right ramp, atoms in (b, b+eta]: weight (b + eta - x) / eta
-        right = ((b + eta) * (c0[iR] - c0[iB]) - (c1[iR] - c1[iB])) / eta
+        right = (hi * (c0[iR] - cB) - (c1[iR] - c1[iB])) / eta
         return left + mid + right
+
+    def window_bound(self, lo, hi, eta_min: float):
+        """(bound, allowance): |signed_batch| <= bound + allowance for every
+        bump with support in the window [lo, hi] and ramp width >= eta_min.
+
+        A bump takes values in [0, 1], so it collects at most the positive
+        part, or the negative part, of q*m over the atoms of its window (the
+        bathtub principle, Lieb & Loss, Analysis, Thm 1.14).  The allowance
+        covers signed_batch's roundoff: its prefix-sum differences carry
+        errors of order n * 1e-16 * sum |q m| * (|x| + |a|) / eta.
+        """
+        iL = np.searchsorted(self.x, lo, side="left")
+        iR = np.searchsorted(self.x, hi, side="right")
+        bound = np.maximum(self.p0[iR] - self.p0[iL], self.n0[iR] - self.n0[iL])
+        reach = max(np.abs(self.x).max(), np.abs(lo).max(), np.abs(hi).max())
+        allowance = 1e-9 * (self.p0[-1] + self.n0[-1]) * (1.0 + reach / eta_min)
+        return bound, allowance
 
     def signed(self, params: BumpParams) -> float:
         return float(self.signed_batch(params.a, params.b, params.eta))
@@ -220,12 +245,32 @@ def _grid(centers, etas, w_lo, w_hi, c: float):
             np.repeat(etas, n_w * centers.size))
 
 
+def _tie_floor(smax: float) -> float:
+    """The smallest slope that ties smax; it never decreases as smax grows."""
+    return smax - max(1e-12, 1e-9 * smax)
+
+
 def _pick_best(a, b, eta, s_abs) -> int:
-    smax = float(s_abs.max())
-    tol = max(1e-12, 1e-9 * smax)
-    idx = np.flatnonzero(s_abs >= smax - tol)
+    idx = np.flatnonzero(s_abs >= _tie_floor(float(s_abs.max())))
     # deterministic tie-break: lexicographically smallest (a, b, eta)
     return idx[np.lexsort((eta[idx], b[idx], a[idx]))[0]]
+
+
+def _live_centers(ev: SlopeEvaluator, centers, eta: float, width: float,
+                  c: float) -> np.ndarray:
+    """The centres whose coarse bumps can still win or tie the coarse round.
+
+    The widest bump at the smallest eta on every centre is a coarse
+    candidate, so its best slope lb is a floor for the coarse best.  Every
+    coarse bump of centre m lies in [m - c/2, m + c/2]; a centre whose
+    window bound stays below _tie_floor(lb) <= _tie_floor(coarse best) holds
+    no candidate of the tie set.  When lb is within the allowance (all slopes
+    0, say) no bound is below it and every centre is kept.
+    """
+    a, b = centers - 0.5 * width, centers + 0.5 * width
+    lb = float(np.abs(ev.signed_batch(a, b, eta)).max())
+    bound, allowance = ev.window_bound(centers - 0.5 * c, centers + 0.5 * c, eta)
+    return centers[bound + allowance >= _tie_floor(lb)]
 
 
 def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
@@ -241,12 +286,13 @@ def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
     if eta_lo > c / 2.0:
         return None
     etas = np.linspace(eta_lo, c / 2.0, N_ETA)
-    coarse = _grid(np.linspace(-R, R, N_A), etas, 0.0,
-                   np.maximum(c - 2.0 * etas, 0.0), c)
+    w_hi = np.maximum(c - 2.0 * etas, 0.0)
+    centers = np.linspace(-R, R, N_A)
     dm, dw, de = 2.0 * R / (N_A - 1), c / (N_W - 1), c / 2.0 / (N_ETA - 1)
     best = None  # (slope, field_index, a, b, eta, signed)
     for i, ev in enumerate(evaluators):
-        m, w, e = coarse
+        m, w, e = _grid(_live_centers(ev, centers, etas[0], w_hi[0], c), etas,
+                        0.0, w_hi, c)
         for round_ in range(REFINE_ROUNDS + 1):
             if round_:  # re-grid one coarse cell around the best candidate
                 m_c, w_c, e_c = float(m[k]), float(w[k]), float(e[k])

@@ -116,6 +116,10 @@ class ScenarioSpec:
             raise ValueError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
         if not _is_int(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.snapshot_every is not None and not (_is_finite_number(self.snapshot_every)
+                                                    and self.snapshot_every > 0):
+            raise ValueError("snapshot_every must be null or a finite number > 0, "
+                             f"got {self.snapshot_every!r}")
         if self.initial_density is not None and len(self.initial_density) != self.n_cells:
             raise ValueError(f"initial_density has {len(self.initial_density)} cells, "
                              f"n_cells is {self.n_cells}")
@@ -139,6 +143,9 @@ class ScenarioSpec:
             _controller_state(self)
         if self.concentration is not None:
             conc = self.concentration
+            if self.snapshot_every is None:
+                raise ValueError("the concentration demo reports from its snapshots; "
+                                 "snapshot_every must be set")
             if "c" not in conc or not set(conc) <= {"c", "n_particles", "n_intervals"}:
                 raise ValueError("concentration takes the key c and optionally "
                                  f"n_particles, n_intervals; got {', '.join(sorted(conc))}")
@@ -292,12 +299,14 @@ def concentration_gain(c: float, eps: float):
 
 def run_concentration_demo(c: float, epsilons: Optional[list] = None,
                            n_particles: int = 5000, dt: float = 1e-3,
-                           t_end: Optional[float] = None) -> tuple[TrajectoryLog, dict]:
+                           t_end: Optional[float] = None, *,
+                           snapshot_every: float) -> tuple[TrajectoryLog, dict]:
     """Drive a uniform density on [0, 1] toward chi_[0,1-c] + c*delta_{1-c}.
 
     The gain acts only where at most mass c of the crowd sits; shrinking the
     ramp width along the schedule concentrates that mass at 1 - c.  The run
-    stops at ``t_end``, by default the end of the schedule.
+    stops at ``t_end``, by default the end of the schedule.  The report is
+    read off the snapshots, taken every ``snapshot_every`` from t = 0.
     """
     if epsilons is None:
         epsilons = default_epsilon_schedule(c)
@@ -325,8 +334,7 @@ def run_concentration_demo(c: float, epsilons: Optional[list] = None,
     V = variance_about(0.0, radius=2.0)
     dyn = Dynamics(f_kernel=None, g_kernels=(constant_kernel(1.0),),
                    prescribed_control=prescribed, taper=0.2)
-    config = SolverConfig(dt=dt, t_end=t_end, snapshot_every=max(t_end / 50.0, dt),
-                          log_every=10)
+    config = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every, log_every=10)
     log = evolve(mu0, dyn, config, SupportBall(2.0), V)
 
     snap_t, omega_mass, window_mass, left_density = [], [], [], []

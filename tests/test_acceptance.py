@@ -57,7 +57,8 @@ def free_run():
 
 @pytest.fixture(scope="session")
 def concentration():
-    log, rep = run_concentration_demo(0.5)
+    log, rep = run_concentration_demo(
+        0.5, snapshot_every=ScenarioSpec.builtin("concentration").snapshot_every)
     return dict(log=log, report=rep)
 
 

@@ -119,6 +119,18 @@ class TestRun:
         assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "x"),
                         "--t-end", "1.0"]) == 2
 
+    def test_concentration_snapshot_every(self, tmp_path, capsys):
+        d = ScenarioSpec.builtin("concentration").to_dict()
+        d["concentration"]["n_particles"] = 300
+        d.update(snapshot_every=0.05, t_end=0.1)
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        snaps = sorted(p.name for p in (out / "snapshots").glob("snapshot_t*.csv"))
+        assert snaps == ["snapshot_t0.05.csv", "snapshot_t0.1.csv", "snapshot_t0.csv"]
+        assert "3 snapshots" in capsys.readouterr().out
+
     @pytest.mark.parametrize("base, change, flags", [
         pytest.param("hk_free", {"bogus": 1}, (), id="unknown-key"),
         pytest.param("hk_free", {"n_particles": 2000}, (), id="n_particles"),
@@ -169,6 +181,13 @@ class TestRun:
         pytest.param("hk_free", {}, ("--seed", "-1"), id="seed-negative"),
         pytest.param("concentration", {"concentration": {"c": 0.5, "n_particles": True}}, (),
                      id="particles-bool"),
+        pytest.param("hk_free", {"snapshot_every": "x"}, (), id="snapshot-string"),
+        pytest.param("hk_free", {"snapshot_every": -1}, (), id="snapshot-negative"),
+        pytest.param("hk_free", {"snapshot_every": 0}, (), id="snapshot-zero"),
+        pytest.param("hk_free", {"snapshot_every": True}, (), id="snapshot-bool"),
+        pytest.param("hk_free", {"snapshot_every": float("inf")}, (), id="snapshot-inf"),
+        pytest.param("concentration", {"snapshot_every": None}, (),
+                     id="no-snapshots-on-concentration"),
     ])
     def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()

@@ -153,6 +153,41 @@ class TestSlopeEvaluator:
         assert got == pytest.approx(0.5, abs=1e-3)
 
 
+class TestWindowBound:
+    @given(seed=st.integers(0, 10_000), on_grid=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_every_bump_in_the_window(self, seed, on_grid):
+        """|signed_batch| <= bound + allowance for admissible bumps inside the window."""
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.1, 3.0)
+        lo = rng.uniform(-5.0, 5.0 - c)
+        hi = lo + c
+        if on_grid:  # empty cells, and the window wherever it falls between centres
+            cells = rng.random(int(rng.integers(4, 120))) * (rng.random() < 0.5)
+            cells[rng.integers(cells.size)] += 1.0
+            mu = GridMeasure(-6.0, 6.0, cells / cells.sum())
+        else:  # atoms exactly on the window ends too
+            x = np.concatenate((rng.uniform(-6.0, 6.0, int(rng.integers(1, 60))), [lo, hi]))
+            w = rng.uniform(0.1, 1.0, x.size)
+            mu = ParticleMeasure(x[:, None], w / w.sum())
+        g = np.sin if rng.random() < 0.5 else ones
+        ev = SlopeEvaluator(mu, g, variance_about(rng.uniform(-6.0, 6.0), radius=6.0))
+        eta_min = rng.uniform(1e-3, 0.5) * c
+        eta = rng.uniform(eta_min, c / 2.0, 50)
+        w = rng.random(50) * (c - 2.0 * eta)
+        a = lo + eta + rng.random(50) * (c - 2.0 * eta - w)
+        bound, allowance = ev.window_bound(lo, hi, eta_min)
+        assert allowance >= 1e-9 * (ev.p0[-1] + ev.n0[-1])
+        assert np.all(np.abs(ev.signed_batch(a, a + w, eta)) <= bound + allowance)
+
+    def test_bathtub_values(self):
+        mu = ParticleMeasure(np.array([[-1.0], [0.5], [1.0], [2.0]]), np.full(4, 0.25))
+        ev = SlopeEvaluator(mu, ones, variance_about(0.0, radius=6.0))
+        # q*m = 2x/4: -0.5, 0.25, 0.5, 1.0
+        bound, _ = ev.window_bound([-1.0, 0.5, -3.0], [0.5, 2.0, -2.0], 0.1)
+        np.testing.assert_allclose(bound, [0.5, 1.75, 0.0])
+
+
 class TestAdmissible:
     def test_eta_schedule(self):
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
@@ -249,8 +284,49 @@ class TestSearchMaximizer:
         params, *_ = search_maximizer([SlopeEvaluator(mu, fields[0], variance_about(0.0, 12.0))],
                                       t, state, strict)
         assert params.eta == state.eta_min(t, strict)
-        assert len(sizes) == 3  # the coarse round and two refinement rounds
-        assert all(n < N_A * N_W * N_ETA / 4 for n in sizes[1:]), sizes
+        assert len(sizes) == 4  # the probe, the coarse round and two refinement rounds
+        assert all(n < N_A * N_W * N_ETA / 4 for n in sizes[2:]), sizes
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pruning_is_exact(self, monkeypatch, seed):
+        """With the window bound at +inf no centre is pruned; the answer is the same."""
+        sizes = count_candidates(monkeypatch)
+        V = variance_about(0.0, radius=12.0)
+        state = ControllerState(c=2.0, h=0.5, radius=6.0)
+        ends = np.linspace(-6.0, 6.0, N_A)[[10, 40]][:, None] + [-1.0, 1.0]
+        cases = clip_cases(seed) + [
+            # every slope is 0: the probe floor is 0 and every centre is kept
+            ("dirac", ParticleMeasure.dirac(0.0), (ones,), state, 10.0, False),
+            # atoms exactly on the ends of two centres' windows
+            ("ends", ParticleMeasure(ends.reshape(-1, 1), np.full(4, 0.25)),
+             (ones, np.sin), state, 10.0, False),
+        ]
+        for name, mu, fields, state, t, strict in cases:
+            evaluators = [SlopeEvaluator(mu, g, V) for g in fields]
+            sizes.clear()
+            got = search_maximizer(evaluators, t, state, strict)
+            n_pruned = sum(sizes)
+            with monkeypatch.context() as patch:
+                patch.setattr(SlopeEvaluator, "window_bound",
+                              lambda self, lo, hi, eta_min: (np.full(np.shape(lo), np.inf), 0.0))
+                sizes.clear()
+                want = search_maximizer(evaluators, t, state, strict)
+            bits = [[float(v).hex() for v in (p.a, p.b, p.eta, *rest)]
+                    for p, *rest in (got, want)]
+            assert bits[0] == bits[1], name
+            if name == "dirac":
+                assert got[2] == 0.0 and n_pruned == sum(sizes)
+            else:
+                assert n_pruned < sum(sizes), name
+
+    def test_narrow_cluster_prunes_coarse_round(self, monkeypatch):
+        sizes = count_candidates(monkeypatch)
+        rng = np.random.default_rng(3)
+        mu = random_particles(rng, 50, span=3.3, lo=3.0)
+        state = ControllerState(c=2.0, h=0.5, radius=6.0)
+        search_maximizer([SlopeEvaluator(mu, ones, variance_about(0.0, 6.0))], 10.0, state)
+        assert sizes[0] == N_A  # the probe
+        assert sizes[1] < N_A * N_W * N_ETA / 4, sizes
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

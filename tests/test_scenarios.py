@@ -166,7 +166,8 @@ class TestConcentration:
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
-            run_concentration_demo(0.5, epsilons=[(0.4, 0.3)], n_particles=10)
+            run_concentration_demo(0.5, epsilons=[(0.4, 0.3)], n_particles=10,
+                                   snapshot_every=0.1)
 
     def test_gain_shape(self):
         u = concentration_gain(0.5, 0.1)
@@ -180,7 +181,8 @@ class TestConcentration:
         assert np.max(np.abs(u(np.linspace(-1, 2, 500)))) <= 1.0
 
     def test_small_demo_concentrates(self):
-        log, rep = run_concentration_demo(0.5, n_particles=500, dt=2e-3)
+        log, rep = run_concentration_demo(0.5, n_particles=500, dt=2e-3,
+                                          snapshot_every=0.0095)
         # population budget respected throughout
         assert rep["omega_mass"].max() <= 0.5 + 1e-3
         # mass piles up near 1 - c
