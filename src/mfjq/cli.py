@@ -11,8 +11,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .scenarios import (BUILTIN_SCENARIOS, ScenarioSpec, default_epsilon_schedule,
-                        run_concentration_demo, run_hk)
+from .scenarios import BUILTIN_SCENARIOS, ScenarioSpec, run_concentration_demo, run_hk
 from .solver import SupportEscapeError
 from .verify import SUITES, run_suite
 
@@ -36,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a named invariant suite")
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--run-dir", type=Path,
-                     help="audit a finished run directory (constraints suite)")
+                     help="audit a finished run directory (constraints and all only)")
     return p
 
 
@@ -73,11 +72,7 @@ def cmd_run(args) -> int:
         return 2
     try:
         if spec.concentration is not None:
-            conc = spec.concentration
-            sched = default_epsilon_schedule(conc["c"], conc.get("n_intervals", 20))
-            log, report = run_concentration_demo(
-                conc["c"], sched, n_particles=conc.get("n_particles", 5000),
-                dt=spec.dt, t_end=spec.t_end, snapshot_every=spec.snapshot_every)
+            log, report = run_concentration_demo(spec)
             extra = dict(max_omega_mass=float(report["omega_mass"].max()),
                          final_window_mass=float(report["window_mass"][-1]))
         else:
@@ -102,7 +97,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     try:
         rows = run_suite(args.suite, args.run_dir)
-    except KeyError as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     width = max(len(name) for name, _, _ in rows)

@@ -28,11 +28,15 @@ BUILTIN_SCENARIOS = ("hk_free", "hk_ctrl_h02", "hk_ctrl_h05", "hk_ctrl_h09",
                      "concentration")
 
 
+# Fields only a grid run reads; the concentration demo rejects any but their defaults.
+GRID_ONLY_KEYS = ("interval", "domain", "n_cells", "radius", "epsilon", "kernel",
+                  "kernel_params", "cluster_mass_floor", "initial_density", "controller")
+
+
 @dataclass
 class ScenarioSpec:
     name: str
     seed: int = 42
-    backend: str = "grid"
     interval: tuple = (0.0, 10.0)     # support of the random initial density
     domain: tuple = (-12.0, 12.0)     # grid extent (contains the support ball)
     n_cells: int = 400
@@ -103,23 +107,48 @@ class ScenarioSpec:
         return ScenarioSpec.from_dict(d)
 
     def validate(self) -> "ScenarioSpec":
-        """Raise ValueError or KeyError on a config no run can use."""
-        expected = "particles" if self.concentration is not None else "grid"
-        if self.backend != expected:
-            raise ValueError(f"backend {self.backend!r} does not fit this scenario; "
-                             f"it runs on {expected!r}")
+        """Raise ValueError or KeyError on a config no run can use.  A spec with
+        a ``concentration`` dict is the particle demo, any other a grid run."""
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end {self.t_end} is shorter than one step dt={self.dt}")
-        if not _is_int(self.n_cells, 1):
-            raise ValueError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
+        steps = self.t_end / self.dt
+        if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(f"t_end {self.t_end} is not a whole number of steps dt={self.dt}")
         if not _is_int(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.snapshot_every is not None and not (_is_finite_number(self.snapshot_every)
                                                     and self.snapshot_every > 0):
             raise ValueError("snapshot_every must be null or a finite number > 0, "
                              f"got {self.snapshot_every!r}")
+        if self.concentration is not None:
+            default = ScenarioSpec(self.name)
+            ignored = [k for k in GRID_ONLY_KEYS if getattr(self, k) != getattr(default, k)]
+            if ignored:
+                raise ValueError(f"the concentration demo does not use {', '.join(ignored)}")
+            if self.snapshot_every is None:
+                raise ValueError("the concentration demo reports from its snapshots; "
+                                 "snapshot_every must be set")
+            conc = self.concentration
+            if "c" not in conc or not set(conc) <= {"c", "n_particles", "n_intervals"}:
+                raise ValueError("concentration takes the key c and optionally "
+                                 f"n_particles, n_intervals; got {', '.join(sorted(conc))}")
+            # the demo drives mass 1 - c inside [0, 1] to the point 1 - c
+            c = conc["c"]
+            if not (_is_finite_number(c) and 0 < c < 1):
+                raise ValueError(f"concentration c must be a number in (0, 1), got {c!r}")
+            for key in ("n_particles", "n_intervals"):
+                n = conc.get(key, 1)
+                if not _is_int(n, 1):
+                    raise ValueError(f"concentration {key} must be an integer >= 1, got {n!r}")
+            t_max = default_epsilon_schedule(c)[-1][0]
+            if self.t_end > t_max:
+                raise ValueError(f"t_end {self.t_end} is past the end {t_max:.6g} "
+                                 "of the concentration demo's gain schedule")
+            return self
+        if not _is_int(self.n_cells, 1):
+            raise ValueError(f"n_cells must be an integer >= 1, got {self.n_cells!r}")
         if self.initial_density is not None and len(self.initial_density) != self.n_cells:
             raise ValueError(f"initial_density has {len(self.initial_density)} cells, "
                              f"n_cells is {self.n_cells}")
@@ -131,32 +160,13 @@ class ScenarioSpec:
             lo, hi = pair
             if not hi > lo:
                 raise ValueError(f"{key} [{lo}, {hi}] must run from low to high")
-        if (self.concentration is None and self.initial_density is None
-                and not _interval_cells(self).any()):
+        if self.initial_density is None and not _interval_cells(self).any():
             raise ValueError(f"interval {list(self.interval)} holds no cell centre "
                              f"of the {self.n_cells}-cell grid on {list(self.domain)}")
         SupportBall(self.radius)
         make_kernel(self.kernel, epsilon=self.epsilon, **self.kernel_params)
         if self.controller is not None:
-            if self.concentration is not None:
-                raise ValueError("a spec has a controller or a concentration demo, not both")
             _controller_state(self)
-        if self.concentration is not None:
-            conc = self.concentration
-            if self.snapshot_every is None:
-                raise ValueError("the concentration demo reports from its snapshots; "
-                                 "snapshot_every must be set")
-            if "c" not in conc or not set(conc) <= {"c", "n_particles", "n_intervals"}:
-                raise ValueError("concentration takes the key c and optionally "
-                                 f"n_particles, n_intervals; got {', '.join(sorted(conc))}")
-            for key in ("n_particles", "n_intervals"):
-                n = conc.get(key, 1)
-                if not _is_int(n, 1):
-                    raise ValueError(f"concentration {key} must be an integer >= 1, got {n!r}")
-            t_max = default_epsilon_schedule(conc["c"])[-1][0]
-            if self.t_end > t_max:
-                raise ValueError(f"t_end {self.t_end} is past the end {t_max:.6g} "
-                                 "of the concentration demo's gain schedule")
         return self
 
 
@@ -272,10 +282,10 @@ def run_hk(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]:
 # Mass concentration under a population budget
 # ---------------------------------------------------------------------------
 
-def default_epsilon_schedule(c: float, n_intervals: int = 20,
-                             t_end_frac: float = 0.95) -> list:
-    """Piecewise schedule [(t_i, eps_i)]: eps_i active until t_i, eps_i = (c - t_i)/2."""
-    ts = np.linspace(0.0, t_end_frac * c, n_intervals + 1)[1:]
+def default_epsilon_schedule(c: float, n_intervals: int = 20) -> list:
+    """Piecewise schedule [(t_i, eps_i)] up to 0.95 c: eps_i active until t_i,
+    eps_i = (c - t_i)/2, so each ramp width stays below c - t."""
+    ts = np.linspace(0.0, 0.95 * c, n_intervals + 1)[1:]
     return [(float(t), float((c - t) / 2.0)) for t in ts]
 
 
@@ -297,28 +307,20 @@ def concentration_gain(c: float, eps: float):
     return u
 
 
-def run_concentration_demo(c: float, epsilons: Optional[list] = None,
-                           n_particles: int = 5000, dt: float = 1e-3,
-                           t_end: Optional[float] = None, *,
-                           snapshot_every: float) -> tuple[TrajectoryLog, dict]:
+def run_concentration_demo(spec: ScenarioSpec) -> tuple[TrajectoryLog, dict]:
     """Drive a uniform density on [0, 1] toward chi_[0,1-c] + c*delta_{1-c}.
 
     The gain acts only where at most mass c of the crowd sits; shrinking the
-    ramp width along the schedule concentrates that mass at 1 - c.  The run
-    stops at ``t_end``, by default the end of the schedule.  The report is
-    read off the snapshots, taken every ``snapshot_every`` from t = 0.
+    ramp width along the schedule concentrates that mass at 1 - c.  The spec's
+    ``concentration`` dict gives c, ``n_particles`` (default 5000) and
+    ``n_intervals`` of the schedule (default 20); the run steps by ``dt`` to
+    ``t_end``.  The report is read off the snapshots, taken every
+    ``snapshot_every`` from t = 0.
     """
-    if epsilons is None:
-        epsilons = default_epsilon_schedule(c)
-    # each ramp width must stay strictly below c - t for the whole interval,
-    # i.e. up to the interval's right end t_i
-    for t_i, eps_i in epsilons:
-        if not (0.0 < eps_i < c - t_i):
-            raise ValueError(f"schedule violates eps < c - t at t={t_i}")
-    if t_end is None:
-        t_end = epsilons[-1][0]
-    elif t_end > epsilons[-1][0]:
-        raise ValueError(f"t_end {t_end} is past the schedule's end {epsilons[-1][0]}")
+    conc = spec.concentration
+    c = conc["c"]
+    n_particles = conc.get("n_particles", 5000)
+    epsilons = default_epsilon_schedule(c, conc.get("n_intervals", 20))
     times = np.array([t for t, _ in epsilons])
     eps_vals = [e for _, e in epsilons]
 
@@ -333,8 +335,9 @@ def run_concentration_demo(c: float, epsilons: Optional[list] = None,
     mu0 = ParticleMeasure(x0, np.full(n_particles, 1.0 / n_particles))
     V = variance_about(0.0, radius=2.0)
     dyn = Dynamics(f_kernel=None, g_kernels=(constant_kernel(1.0),),
-                   prescribed_control=prescribed, taper=0.2)
-    config = SolverConfig(dt=dt, t_end=t_end, snapshot_every=snapshot_every, log_every=10)
+                   prescribed_control=prescribed)
+    config = SolverConfig(dt=spec.dt, t_end=spec.t_end,
+                          snapshot_every=spec.snapshot_every, log_every=10)
     log = evolve(mu0, dyn, config, SupportBall(2.0), V)
 
     snap_t, omega_mass, window_mass, left_density = [], [], [], []

@@ -146,6 +146,8 @@ def suite_constraints(run_dir: Optional[Path] = None) -> list:
 
 
 def run_suite(name: str, run_dir: Optional[Path] = None) -> list:
+    if run_dir is not None and name not in ("constraints", "all"):
+        raise ValueError("--run-dir is read by the constraints and all suites only")
     if name == "oracle":
         return suite_oracle()
     if name == "dissipativity":
@@ -155,6 +157,5 @@ def run_suite(name: str, run_dir: Optional[Path] = None) -> list:
     if name == "constraints":
         return suite_constraints(run_dir)
     if name == "all":
-        names = ["constraints", "conservation", "oracle", "dissipativity"]
-        return [row for n in names for row in run_suite(n, run_dir)]
+        return suite_constraints(run_dir) + [row for n in SUITES[1:-1] for row in run_suite(n)]
     raise KeyError(f"unknown suite {name!r}")

@@ -57,8 +57,7 @@ def free_run():
 
 @pytest.fixture(scope="session")
 def concentration():
-    log, rep = run_concentration_demo(
-        0.5, snapshot_every=ScenarioSpec.builtin("concentration").snapshot_every)
+    log, rep = run_concentration_demo(ScenarioSpec.builtin("concentration"))
     return dict(log=log, report=rep)
 
 

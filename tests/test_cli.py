@@ -99,12 +99,14 @@ class TestRun:
         spec = ScenarioSpec.builtin("concentration")
         d = spec.to_dict()
         d["concentration"]["n_particles"] = 300
+        d["seed"] = 7  # the demo has no use for it, but a seed key stays valid
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps(d))
         out = tmp_path / "o"
         assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["max_omega_mass"] <= 0.5 + 1e-3
+        assert "backend" not in meta["spec"]
 
     def test_concentration_t_end(self, tmp_path):
         d = ScenarioSpec.builtin("concentration").to_dict()
@@ -188,6 +190,24 @@ class TestRun:
         pytest.param("hk_free", {"snapshot_every": float("inf")}, (), id="snapshot-inf"),
         pytest.param("concentration", {"snapshot_every": None}, (),
                      id="no-snapshots-on-concentration"),
+        pytest.param("hk_free", {}, ("--t-end", "1", "--dt", "0.4"), id="t_end-between-steps"),
+        pytest.param("concentration", {"t_end": 0.1005}, (), id="conc-t_end-between-steps"),
+        pytest.param("hk_free", {}, ("--t-end", "inf"), id="t_end-inf"),
+        pytest.param("concentration", {"concentration": {"c": float("nan")}}, (), id="c-nan"),
+        pytest.param("concentration", {"concentration": {"c": float("inf")}}, (), id="c-inf"),
+        pytest.param("concentration", {"concentration": {"c": True}}, (), id="c-bool"),
+        pytest.param("concentration", {"concentration": {"c": 1.0}}, (), id="c-one"),
+        pytest.param("concentration", {"concentration": {"c": 1.5}}, (), id="c-above-1"),
+        pytest.param("concentration", {"radius": 5}, (), id="radius-on-concentration"),
+        pytest.param("concentration", {"epsilon": 0.3}, (), id="epsilon-on-concentration"),
+        pytest.param("concentration", {"interval": [3, 4]}, (), id="interval-on-concentration"),
+        pytest.param("concentration", {"domain": [-2, 2]}, (), id="domain-on-concentration"),
+        pytest.param("concentration", {"n_cells": 100}, (), id="n_cells-on-concentration"),
+        pytest.param("concentration", {"kernel": "constant_g"}, (), id="kernel-on-concentration"),
+        pytest.param("concentration", {"cluster_mass_floor": 0.5}, (),
+                     id="cluster-floor-on-concentration"),
+        pytest.param("concentration", {"initial_density": [0.0025] * 400}, (),
+                     id="initial-density-on-concentration"),
     ])
     def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()
@@ -218,6 +238,20 @@ class TestVerify:
                         "--t-end", "3.0"]) == 0
         assert run_cli(["verify", "constraints", "--run-dir", str(out)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["oracle", "dissipativity", "conservation"])
+    def test_run_dir_rejected_by_other_suites(self, tmp_path, capsys, suite):
+        assert run_cli(["verify", suite, "--run-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err, err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["constraints", "all"])
+    def test_missing_run_dir_exit_2(self, tmp_path, capsys, suite):
+        assert run_cli(["verify", suite, "--run-dir", str(tmp_path / "nope")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err, err
 
     def test_all_suite(self):
         rows = run_suite("all")

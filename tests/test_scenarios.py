@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfjq
 from mfjq.measures import GridMeasure, total_mass
 from mfjq.scenarios import (BUILTIN_SCENARIOS, ScenarioSpec, concentration_gain,
                             default_epsilon_schedule, detect_clusters,
@@ -164,11 +169,6 @@ class TestConcentration:
             t_prev = t
         assert sched[-1][0] == pytest.approx(0.95 * c)
 
-    def test_bad_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            run_concentration_demo(0.5, epsilons=[(0.4, 0.3)], n_particles=10,
-                                   snapshot_every=0.1)
-
     def test_gain_shape(self):
         u = concentration_gain(0.5, 0.1)
         x = np.array([0.3, 0.7, 1.0, 1.2, 0.5])
@@ -181,10 +181,28 @@ class TestConcentration:
         assert np.max(np.abs(u(np.linspace(-1, 2, 500)))) <= 1.0
 
     def test_small_demo_concentrates(self):
-        log, rep = run_concentration_demo(0.5, n_particles=500, dt=2e-3,
-                                          snapshot_every=0.0095)
+        spec = ScenarioSpec.builtin("concentration").apply_overrides(
+            dt=2e-3, concentration=dict(c=0.5, n_particles=500))
+        log, rep = run_concentration_demo(spec)
         # population budget respected throughout
         assert rep["omega_mass"].max() <= 0.5 + 1e-3
         # mass piles up near 1 - c
         assert rep["window_mass"][-1] > rep["window_mass"][0]
         assert rep["window_mass"][-1] >= 0.4
+
+
+SRC = Path(mfjq.__file__).resolve().parent.parent
+PROBE = Path(__file__).resolve().parent.parent / "perfbench" / "setup_probe.py"
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["verify_all", "0"], id="verify_all"),
+    pytest.param(["conc_5k", "0", str(SRC / "mfjq" / "scenario_specs" / "concentration.json")],
+                 id="conc_5k"),
+])
+def test_benchmark_setup_probe(args):
+    """The benchmark times its workloads' set-up through this package's API."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, str(PROBE), *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
