@@ -174,8 +174,6 @@ class ControllerState:
     kappa: float = 1.0             # threshold scale
     eta_floor: float = 0.0         # resolution floor for the ramp width
     active: Optional[ActiveControl] = None
-    t_n: float = 0.0               # last switch time
-    n_switches: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
@@ -324,9 +322,9 @@ def _step_entry(t: float, state: ControllerState,
         # kappa > 0 makes phi2 > 0, so an accepted slope has a definite sign
         if s >= state.phi2(t):
             ctrl = ActiveControl(params, -1 if signed > 0 else 1, i)
-    new = replace(state, active=ctrl, t_n=t, n_switches=state.n_switches + 1)
     return (ControlDecision(ctrl, True, best_slope=s, current_slope=current_slope,
-                            candidate_slope=s if ctrl else 0.0), new)
+                            candidate_slope=s if ctrl else 0.0),
+            replace(state, active=ctrl))
 
 
 def decide_multi(t: float, mu: Measure, state: ControllerState,

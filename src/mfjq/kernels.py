@@ -27,7 +27,6 @@ class InteractionKernel:
     rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lipschitz_L: float
     bound_M: float
-    name: str = "custom"
 
     def field_at(self, x_eval: np.ndarray, atoms_x: np.ndarray,
                  atoms_w: np.ndarray) -> np.ndarray:
@@ -57,8 +56,7 @@ class ConstantKernel(InteractionKernel):
 
 def constant_kernel(value: float = 1.0) -> ConstantKernel:
     return ConstantKernel(rule=lambda x, y: np.full(np.broadcast(x, y).shape, value),
-                          lipschitz_L=0.0, bound_M=abs(value), name="constant_g",
-                          value=value)
+                          lipschitz_L=0.0, bound_M=abs(value), value=value)
 
 
 @dataclass(frozen=True)
@@ -90,16 +88,14 @@ class HKKernel:
 
         # sup over the ramp of |d/dr (phi(r) r)| is (1+eps)/eps + 1
         L = 1.0 + (1.0 + eps) / eps
-        return InteractionKernel(rule=rule, lipschitz_L=L, bound_M=1.0 + eps, name="hk")
+        return InteractionKernel(rule=rule, lipschitz_L=L, bound_M=1.0 + eps)
 
 
-def make_kernel(name: str, **params) -> InteractionKernel:
-    """Kernel registry used by run configs."""
-    if name == "hk":
-        return HKKernel(epsilon=params.get("epsilon", 0.05)).interaction()
-    if name == "constant_g":
-        return constant_kernel(params.get("value", 1.0))
-    raise KeyError(f"unknown kernel {name!r}")
+def make_kernel(name: str, epsilon: float = 0.05) -> InteractionKernel:
+    """The drift kernel a run config names; "hk" is the only one."""
+    if name != "hk":
+        raise KeyError(f"unknown kernel {name!r}")
+    return HKKernel(epsilon).interaction()
 
 
 def nonlocal_field(kernel: InteractionKernel, mu: Measure) -> Callable[[np.ndarray], np.ndarray]:

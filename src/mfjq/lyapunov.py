@@ -27,20 +27,19 @@ class MomentFunctional:
     v: Callable[[np.ndarray], np.ndarray]
     v_prime: Callable[[np.ndarray], np.ndarray]
     k_bound: float
-    name: str = "custom"
 
     def __post_init__(self):
         if self.k_bound < 0:
             raise ValueError("k_bound must be nonnegative")
 
 
-def variance_about(center: float, radius: float, g_bound: float = 1.0) -> MomentFunctional:
-    """v(x) = (x - center)^2; k_bound from |v'| <= 2(R + |center|) on B(0, R)."""
+def variance_about(center: float, radius: float) -> MomentFunctional:
+    """v(x) = (x - center)^2; k_bound from |v'| <= 2(R + |center|) on B(0, R)
+    and a control kernel bounded by 1."""
     c = float(center)
-    k = 2.0 * (radius + abs(c)) * g_bound
     return MomentFunctional(v=lambda x: (x - c) ** 2,
                             v_prime=lambda x: 2.0 * (x - c),
-                            k_bound=k, name="variance0" if c == 0.0 else "variance")
+                            k_bound=2.0 * (radius + abs(c)))
 
 
 def value(V: MomentFunctional, mu: Measure) -> float:
@@ -53,9 +52,10 @@ def lie_derivative(V: MomentFunctional, field: Callable, mu: Measure) -> float:
     return float(np.dot(np.asarray(V.v_prime(x)) * np.asarray(field(x)), w))
 
 
-def _rk4_flow(x: np.ndarray, field: Callable, tau: float, substeps: int = 4) -> np.ndarray:
-    h = tau / substeps
-    for _ in range(substeps):
+def _rk4_flow(x: np.ndarray, field: Callable, tau: float) -> np.ndarray:
+    """Four RK4 steps of length tau / 4 along the frozen field."""
+    h = tau / 4
+    for _ in range(4):
         k1 = np.asarray(field(x))
         k2 = np.asarray(field(x + 0.5 * h * k1))
         k3 = np.asarray(field(x + 0.5 * h * k2))

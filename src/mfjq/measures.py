@@ -63,7 +63,7 @@ class GridMeasure:
             raise ValueError("cell_mass must be a nonempty 1D array")
         if m.min() < -_NEG_TOL:
             raise ValueError(f"negative cell mass {m.min():.3e}")
-        if abs(m.sum() - 1.0) > 1e-9:
+        if not abs(m.sum() - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"total mass {m.sum()!r} is not 1")
 
     @property
@@ -89,18 +89,6 @@ class GridMeasure:
     @property
     def density(self) -> np.ndarray:
         return self.cell_mass / self.dx
-
-    @classmethod
-    def from_density(cls, fn: Callable[[np.ndarray], np.ndarray],
-                     x_min: float, x_max: float, n_cells: int) -> "GridMeasure":
-        """Sample a density at cell midpoints and normalize to mass 1."""
-        dx = (x_max - x_min) / n_cells
-        x = x_min + (np.arange(n_cells) + 0.5) * dx
-        m = np.clip(np.asarray(fn(x), dtype=float), 0.0, None) * dx
-        s = m.sum()
-        if s <= 0:
-            raise ValueError("density samples sum to zero")
-        return cls(x_min, x_max, m / s)
 
     @classmethod
     def uniform(cls, lo: float, hi: float, x_min: float, x_max: float,
@@ -137,7 +125,7 @@ class ParticleMeasure:
             raise ValueError("positions and weights length mismatch")
         if w.min() < -_NEG_TOL:
             raise ValueError(f"negative weight {w.min():.3e}")
-        if abs(w.sum() - 1.0) > 1e-9:
+        if not abs(w.sum() - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"total mass {w.sum()!r} is not 1")
 
     @classmethod
@@ -210,16 +198,16 @@ def sup_norm(mu: GridMeasure) -> float:
     return float(mu.cell_mass.max() / mu.dx)
 
 
-def support_bounds(mu: Measure, mass_floor: float = 1e-14) -> tuple[float, float]:
-    """Leftmost / rightmost location carrying more than ``mass_floor``."""
+def support_bounds(mu: Measure) -> tuple[float, float]:
+    """Leftmost / rightmost location carrying more than mass 1e-14."""
     if isinstance(mu, GridMeasure):
-        idx = np.flatnonzero(mu.cell_mass > mass_floor)
+        idx = np.flatnonzero(mu.cell_mass > 1e-14)
         if idx.size == 0:
             return mu.x_min, mu.x_min
         e = mu.edges
         return float(e[idx[0]]), float(e[idx[-1] + 1])
     x = mu.x
-    keep = mu.weights > mass_floor
+    keep = mu.weights > 1e-14
     if not keep.any():
         return 0.0, 0.0
     return float(x[keep].min()), float(x[keep].max())

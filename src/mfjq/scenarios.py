@@ -160,11 +160,19 @@ class ScenarioSpec:
             lo, hi = pair
             if not hi > lo:
                 raise ValueError(f"{key} [{lo}, {hi}] must run from low to high")
-        if self.initial_density is None and not _interval_cells(self).any():
+        if self.initial_density is not None:
+            try:
+                make_initial_measure(self)
+            except ValueError as exc:
+                raise ValueError(f"initial_density: {exc}") from None
+        elif not _interval_cells(self).any():
             raise ValueError(f"interval {list(self.interval)} holds no cell centre "
                              f"of the {self.n_cells}-cell grid on {list(self.domain)}")
         SupportBall(self.radius)
-        make_kernel(self.kernel, epsilon=self.epsilon, **self.kernel_params)
+        if self.kernel_params:
+            raise ValueError("kernel_params must be empty (the hk kernel reads only "
+                             f"epsilon), got {self.kernel_params!r}")
+        make_kernel(self.kernel, epsilon=self.epsilon)
         if self.controller is not None:
             _controller_state(self)
         return self
@@ -261,7 +269,7 @@ def run_hk(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]:
     """
     mu0 = make_initial_measure(spec)
     V = variance_about(moment(mu0, lambda x: x), spec.radius)
-    f = make_kernel(spec.kernel, epsilon=spec.epsilon, **spec.kernel_params)
+    f = make_kernel(spec.kernel, epsilon=spec.epsilon)
     if spec.controller is None:
         dyn = Dynamics(f_kernel=f)
     else:

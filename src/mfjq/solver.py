@@ -139,18 +139,21 @@ def _upwind_substep(mass: np.ndarray, offset: np.ndarray, v_edges: np.ndarray,
     return new_mass, np.clip(new_off, -0.5, 0.5)
 
 
-def step_grid(mu: GridMeasure, field, dt: float, cfl_max: float = 0.9,
+CFL_MAX = 0.9  # a sub-step of step_grid moves mass at most this many cells
+
+
+def step_grid(mu: GridMeasure, field: np.ndarray, dt: float,
               drift: Optional[np.ndarray] = None) -> GridMeasure:
     """One finite-volume step; sub-divides internally to honor the CFL bound.
 
-    ``field`` is a callable evaluated at cell edges, or precomputed edge
-    values; its flux is upwinded at the faces.  ``drift`` is an optional
-    (n_cells, n_cells) matrix K: cell i moves with velocity (K @ cell_mass)_i,
-    re-evaluated every sub-step, and its content is shifted rigidly.  When K
-    is antisymmetric (an odd kernel sampled at the cell midpoints) the drift
+    ``field`` holds the velocity at the n_cells + 1 cell edges; its flux is
+    upwinded at the faces.  ``drift`` is an optional (n_cells, n_cells)
+    matrix K: cell i moves with velocity (K @ cell_mass)_i, re-evaluated
+    every sub-step, and its content is shifted rigidly.  When K is
+    antisymmetric (an odd kernel sampled at the cell midpoints) the drift
     conserves ``barycenter(mu)`` to roundoff.
     """
-    v_edges = np.asarray(field(mu.edges) if callable(field) else field, dtype=float)
+    v_edges = np.asarray(field, dtype=float)
     if v_edges.shape != (mu.n_cells + 1,):
         raise ValueError("edge velocity array has wrong shape")
     mass, offset = mu.cell_mass, mu.offset
@@ -158,7 +161,7 @@ def step_grid(mu: GridMeasure, field, dt: float, cfl_max: float = 0.9,
     if drift is not None:
         w = drift @ mass
         vmax = max(vmax, float(np.max(np.abs(w))))
-    n_sub = max(1, math.ceil(vmax * dt / (cfl_max * mu.dx))) if vmax > 0 else 1
+    n_sub = max(1, math.ceil(vmax * dt / (CFL_MAX * mu.dx))) if vmax > 0 else 1
     h = dt / n_sub
     for j in range(n_sub):
         if drift is not None:
@@ -193,7 +196,6 @@ class Dynamics:
     controller: Optional[ControllerState] = None
     # prescribed_control(t) -> u(x); applied through g_kernels[0]
     prescribed_control: Optional[Callable[[float], Callable]] = None
-    taper: Optional[float] = None
 
 
 def _check_support(mu: Measure, ball: SupportBall, tol: float) -> tuple[float, float]:
@@ -219,13 +221,13 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
            ball: SupportBall, V: MomentFunctional) -> TrajectoryLog:
     """Evolve mu0 to t_end, logging diagnostics every ``log_every`` steps.
 
-    Fields are tapered to zero at the edge of the ball.  Raises
+    Fields are tapered to zero over the outer tenth of the ball.  Raises
     :class:`SupportEscapeError` if mass leaves B(0, R) beyond one cell width
     (grid) or 1e-9 (particles).
     """
     grid = isinstance(mu0, GridMeasure)
     mu = mu0
-    taper = dynamics.taper if dynamics.taper is not None else ball.radius / 10.0
+    taper = ball.radius / 10.0
     f = dynamics.f_kernel
     Kf = None
     if grid and f is not None:

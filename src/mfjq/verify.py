@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .controller import bump_1d
-from .kernels import HKKernel, constant_kernel, nonlocal_field
+from .kernels import HKKernel, nonlocal_field
 from .lyapunov import (lie_derivative, lie_derivative_fd_oracle, value,
                        variance_about)
 from .measures import ParticleMeasure, barycenter
@@ -23,20 +23,21 @@ from .scenarios import ScenarioSpec, run_hk
 SUITES = ("constraints", "conservation", "oracle", "dissipativity", "all")
 
 
-def _random_particles(rng, n_max=50, span=5.0) -> ParticleMeasure:
-    n = int(rng.integers(2, n_max + 1))
-    x = rng.uniform(-span, span, n)
+def _random_particles(rng) -> ParticleMeasure:
+    """2 to 50 atoms on [-5, 5] with random weights."""
+    n = int(rng.integers(2, 51))
+    x = rng.uniform(-5.0, 5.0, n)
     w = rng.uniform(0.1, 1.0, n)
     return ParticleMeasure(x[:, None], w / w.sum())
 
 
-def suite_oracle(n_pairs: int = 100, seed: int = 0) -> list:
+def suite_oracle() -> list:
     """Closed-form rate of the variance vs the finite-difference oracle."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     V = variance_about(0.0, radius=6.0)
     hk = HKKernel(0.05).interaction()
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(100):
         mu = _random_particles(rng)
         if rng.random() < 0.5:
             field = nonlocal_field(hk, mu)
@@ -52,25 +53,25 @@ def suite_oracle(n_pairs: int = 100, seed: int = 0) -> list:
         rel = abs(exact - approx) / max(abs(exact), 1e-10)
         worst = max(worst, rel)
     ok = worst <= 1e-5
-    return [("lie-derivative oracle (rel 1e-5, %d pairs)" % n_pairs, ok,
+    return [("lie-derivative oracle (rel 1e-5, 100 pairs)", ok,
              f"worst rel err {worst:.2e}")]
 
 
-def suite_dissipativity(n_pairs: int = 100, seed: int = 1) -> list:
+def suite_dissipativity() -> list:
     """Non-positivity of the drift rate and the two-atom closed form."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     hk = HKKernel(0.05)
     kern = hk.interaction()
     V = variance_about(0.0, radius=6.0)
     worst_pos = -np.inf
-    for _ in range(n_pairs):
+    for _ in range(100):
         mu = _random_particles(rng)
         lf = lie_derivative(V, nonlocal_field(kern, mu), mu)
         worst_pos = max(worst_pos, lf)
     rows = [("drift rate of variance <= 0 (randomized)", worst_pos <= 1e-12,
              f"max rate {worst_pos:.2e}")]
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(100):
         x, y = rng.uniform(-5.0, 5.0, 2)
         mu = ParticleMeasure(np.array([[x], [y]]), np.array([0.5, 0.5]))
         closed = -0.5 * float(hk.phi(x - y)) * (x - y) ** 2
@@ -81,9 +82,9 @@ def suite_dissipativity(n_pairs: int = 100, seed: int = 1) -> list:
     return rows
 
 
-def suite_conservation(seed: int = 2) -> list:
+def suite_conservation() -> list:
     """Mass, positivity, barycenter and support along a short drift run."""
-    spec = ScenarioSpec(name="conservation-probe", seed=seed, t_end=2.0,
+    spec = ScenarioSpec(name="conservation-probe", seed=2, t_end=2.0,
                         snapshot_every=0.5)
     log, _ = run_hk(spec)
     mass = log.column("mass")
@@ -104,7 +105,7 @@ def suite_conservation(seed: int = 2) -> list:
     return rows
 
 
-def audit_constraints_log(t, a, b, eta, sign, c: float, kappa: float = 1.0) -> list:
+def audit_constraints_log(t, a, b, eta, sign, c: float, kappa: float) -> list:
     """Re-check the control constraints from logged trajectory columns."""
     active = ~np.isnan(eta)
     rows = []
@@ -125,16 +126,19 @@ def audit_constraints_log(t, a, b, eta, sign, c: float, kappa: float = 1.0) -> l
 
 
 def suite_constraints(run_dir: Optional[Path] = None) -> list:
-    """Audit the control constraints, from a run directory or a fresh short run."""
+    """Audit the control constraints, from a controlled run's directory or a
+    fresh short run."""
     if run_dir is not None:
         run_dir = Path(run_dir)
         with open(run_dir / "meta.json") as fh:
-            meta = json.load(fh)
-        ctrl = (meta.get("spec") or {}).get("controller") or {}
+            ctrl = json.load(fh)["spec"]["controller"]
+        if ctrl is None:
+            raise ValueError(f"{run_dir} is a run without a controller; "
+                             "the constraints suite audits controlled runs")
         log = np.genfromtxt(run_dir / "trajectory.csv", delimiter=",", names=True)
         return audit_constraints_log(
             log["t"], log["control_a"], log["control_b"], log["control_eta"],
-            log["control_sign"], c=ctrl.get("c", 2.0), kappa=ctrl.get("kappa", 1.0))
+            log["control_sign"], c=ctrl["c"], kappa=ctrl["kappa"])
     spec = ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=5.0)
     log, _ = run_hk(spec)
     return audit_constraints_log(log.t, log.column("control_a"),

@@ -172,6 +172,16 @@ class TestRun:
                      ("--cells", "50"), id="cells-on-initial-density"),
         pytest.param("hk_free", {"n_cells": 10, "initial_density": [0.1] * 10},
                      ("--seed", "3"), id="seed-on-initial-density"),
+        pytest.param("hk_free", {"n_cells": 10, "initial_density": [0.2] * 10}, (),
+                     id="initial-density-sum-2"),
+        pytest.param("hk_free", {"n_cells": 10, "initial_density": ["a"] * 10}, (),
+                     id="initial-density-string"),
+        pytest.param("hk_free", {"n_cells": 10, "initial_density": [0.1] * 9 + [float("nan")]},
+                     (), id="initial-density-nan"),
+        pytest.param("hk_free", {"n_cells": 10, "initial_density": [-0.1, 0.3] + [0.1] * 8},
+                     (), id="initial-density-negative"),
+        pytest.param("hk_free", {"kernel_params": {"value": 3, "bogus": 1}}, (),
+                     id="kernel-params"),
         pytest.param("hk_free", {"radius": 0}, (), id="radius-zero"),
         pytest.param("hk_free", {"domain": [5, -5]}, (), id="domain-reversed"),
         pytest.param("hk_free", {"domain": "ab"}, (), id="domain-not-numbers"),
@@ -245,6 +255,22 @@ class TestVerify:
         captured = capsys.readouterr()
         err = captured.err.strip()
         assert err.startswith("error:") and "\n" not in err, err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["constraints", "all"])
+    @pytest.mark.parametrize("scenario, t_end", [("hk_free", "2"), ("concentration", "0.1")])
+    def test_run_dir_without_controller_exit_2(self, tmp_path, capsys, suite, scenario,
+                                               t_end):
+        # no controller, so no c or kappa to audit against
+        out = tmp_path / "o"
+        assert run_cli(["run", "--scenario", scenario, "--t-end", t_end,
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(["verify", suite, "--run-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error:") and "\n" not in err, err
+        assert "without a controller" in err
         assert captured.out == ""
 
     @pytest.mark.parametrize("suite", ["constraints", "all"])

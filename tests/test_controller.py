@@ -353,7 +353,7 @@ class TestStateMachine:
         V = variance_about(0.0, radius=10.0)
         dec, new = decide_multi(5.0, mu, state, (ones,), V)
         assert dec.control is None and not dec.switched
-        assert new.n_switches == 0
+        assert new is state
 
     def test_activation_above_threshold(self):
         state = self.mk_state()
@@ -363,8 +363,7 @@ class TestStateMachine:
         dec, new = decide_multi(t, mu, state, (ones,), V)
         assert dec.control is not None and dec.switched
         assert dec.control.sign == -1   # push mass at x > 0 toward 0
-        assert new.n_switches == 1
-        assert new.t_n == t
+        assert new.active is dec.control
 
     def test_idle_below_phi3(self):
         state = self.mk_state(kappa=1.0)

@@ -92,10 +92,11 @@ def test_constant_kernel_field_is_total_mass():
 
 
 def test_make_kernel_registry():
-    assert make_kernel("hk").name == "hk"
-    assert make_kernel("constant_g", value=3.0).bound_M == 3.0
-    with pytest.raises(KeyError):
-        make_kernel("nope")
+    assert make_kernel("hk").bound_M == pytest.approx(1.05)
+    assert make_kernel("hk", epsilon=0.1).bound_M == pytest.approx(1.1)
+    for name in ("nope", "constant_g"):
+        with pytest.raises(KeyError):
+            make_kernel(name)
 
 
 class TestBallCutoff:

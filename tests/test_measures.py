@@ -63,10 +63,6 @@ class TestGridMeasure:
         np.testing.assert_allclose(
             mu.cell_mass, [0, 0, 0.25, 0.25, 0.25, 0.25, 0, 0], atol=1e-15)
 
-    def test_from_density_normalizes(self):
-        mu = GridMeasure.from_density(lambda x: np.exp(-x * x), -3, 3, 50)
-        assert total_mass(mu) == pytest.approx(1.0, abs=1e-12)
-
     def test_sup_norm(self):
         mu = GridMeasure(0.0, 2.0, np.array([0.75, 0.25]))
         assert sup_norm(mu) == pytest.approx(0.75)

@@ -206,3 +206,19 @@ def test_benchmark_setup_probe(args):
     proc = subprocess.run([sys.executable, str(PROBE), *args], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer(tmp_path):
+    """The benchmark's traced pass reads step_grid's arguments and counts the
+    controller's candidates through hooks on this package's functions."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    prefix = tmp_path / "trace"
+    proc = subprocess.run(
+        [sys.executable, str(PROBE.parent / "tracer.py"), str(prefix), str(tmp_path / "peak"),
+         "run", "--scenario", "hk_ctrl_h05", "--t-end", "2", "--cells", "100",
+         "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads((tmp_path / "trace.json").read_text())["counters"]
+    # 200 steps of dt = 0.01, one sub-step each at 100 cells
+    assert counters["solver.cfl_substeps"] == 200
+    assert counters["controller.candidates"] > 0
