@@ -17,6 +17,12 @@ each round scores its distinct candidates only, at most N_A * N_W * N_ETA.
 The coarse round also skips every centre whose window of width c cannot hold
 a bump as steep as the best probe bump (a bathtub bound on the slope), which
 leaves its winner and the refinement unchanged.
+
+The same bound, taken over one window of width c per atom, gives a ceiling U
+on the slope of every strictly admissible bump.  A query whose decision U
+already settles (idle with U < phi3, or a frozen bump that no bump below U
+can beat by the hysteresis margin) skips its strict search; the decisions
+are those of the search.
 """
 from __future__ import annotations
 
@@ -203,9 +209,11 @@ class ControllerState:
 class ControlDecision:
     control: Optional[ActiveControl]
     switched: bool
-    best_slope: float = 0.0       # best admissible slope seen this query
+    slope: float = 0.0            # slope of the control applied, 0 when idle
     current_slope: float = 0.0    # slope of the previously active bump
     candidate_slope: float = 0.0  # slope of the challenger at a hysteresis switch
+    ceiling: float = 0.0          # U: no strictly admissible bump is steeper
+    searched_slope: Optional[float] = None  # best strict slope, if the search ran
 
 
 def _distinct(v) -> np.ndarray:
@@ -312,6 +320,25 @@ def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
     return BumpParams(a, b, eta), i, s, signed
 
 
+def slope_ceiling(evaluators: Sequence[SlopeEvaluator], t: float,
+                  state: ControllerState) -> float:
+    """U >= the slope of every strictly admissible bump, on every field; 0 when
+    none is admissible.
+
+    A bump's support is at most c wide, so the atoms it covers lie in
+    [x_i, x_i + c], x_i the leftmost of them; window_bound over these
+    windows, one per atom, bounds its slope.
+    """
+    eta_lo = state.eta_min(t, strict=True)
+    if eta_lo > state.c / 2.0:
+        return 0.0
+    U = 0.0
+    for ev in evaluators:
+        bound, allowance = ev.window_bound(ev.x, ev.x + state.c, eta_lo)
+        U = max(U, float(bound.max()) + allowance)
+    return U
+
+
 def _step_entry(t: float, state: ControllerState,
                 evaluators: Sequence[SlopeEvaluator],
                 current_slope: float) -> tuple[ControlDecision, ControllerState]:
@@ -322,8 +349,9 @@ def _step_entry(t: float, state: ControllerState,
         # kappa > 0 makes phi2 > 0, so an accepted slope has a definite sign
         if s >= state.phi2(t):
             ctrl = ActiveControl(params, -1 if signed > 0 else 1, i)
-    return (ControlDecision(ctrl, True, best_slope=s, current_slope=current_slope,
-                            candidate_slope=s if ctrl else 0.0),
+    s = s if ctrl else 0.0
+    return (ControlDecision(ctrl, True, slope=s, current_slope=current_slope,
+                            candidate_slope=s),
             replace(state, active=ctrl))
 
 
@@ -336,23 +364,30 @@ def decide_multi(t: float, mu: Measure, state: ControllerState,
     active mode holds the frozen bump until its slope drops to phi1(t) or a
     strictly admissible challenger beats it by the hysteresis factor
     1/(1 - h).  Both exits funnel through a fresh steepest-descent search.
+    The strict search runs only when the ceiling U leaves the decision open.
     """
     evaluators = [SlopeEvaluator(mu, g, V) for g in g_fields]
-    if state.active is None:
-        found = search_maximizer(evaluators, t, state, strict=True)
-        if found is not None and found[2] >= state.phi3(t):
-            return _step_entry(t, state, evaluators, current_slope=0.0)
-        best = 0.0 if found is None else found[2]
-        return ControlDecision(None, False, best_slope=best), state
+    U = slope_ceiling(evaluators, t, state)
     ctrl = state.active
+    if ctrl is None:
+        if U < state.phi3(t):  # no bump can enter
+            return ControlDecision(None, False, ceiling=U), state
+        # U = 0 settles an empty admissible set, so every search that runs finds a bump
+        best = search_maximizer(evaluators, t, state, strict=True)[2]
+        if best >= state.phi3(t):
+            dec, state = _step_entry(t, state, evaluators, current_slope=0.0)
+        else:
+            dec = ControlDecision(None, False)
+        return replace(dec, ceiling=U, searched_slope=best), state
     s_cur = evaluators[ctrl.field_index].slope(ctrl.params)
     if s_cur <= state.phi1(t):
-        return _step_entry(t, state, evaluators, current_slope=s_cur)
-    found = search_maximizer(evaluators, t, state, strict=True)
-    if found is not None and s_cur <= (1.0 - state.h) * found[2]:
-        dec, new = _step_entry(t, state, evaluators, current_slope=s_cur)
-        return replace(dec, candidate_slope=found[2]), new
-    best = s_cur if found is None else max(s_cur, found[2])
-    return (ControlDecision(ctrl, False, best_slope=best,
-                            current_slope=s_cur), state)
-
+        dec, state = _step_entry(t, state, evaluators, current_slope=s_cur)
+        return replace(dec, ceiling=U), state
+    hold = ControlDecision(ctrl, False, slope=s_cur, current_slope=s_cur, ceiling=U)
+    if s_cur > (1.0 - state.h) * U:  # no challenger can beat the margin
+        return hold, state
+    best = search_maximizer(evaluators, t, state, strict=True)[2]
+    if s_cur <= (1.0 - state.h) * best:
+        dec, state = _step_entry(t, state, evaluators, current_slope=s_cur)
+        return replace(dec, candidate_slope=best, ceiling=U, searched_slope=best), state
+    return replace(hold, searched_slope=best), state

@@ -172,7 +172,12 @@ class ScenarioSpec:
         if self.kernel_params:
             raise ValueError("kernel_params must be empty (the hk kernel reads only "
                              f"epsilon), got {self.kernel_params!r}")
+        if not (_is_finite_number(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon!r}")
         make_kernel(self.kernel, epsilon=self.epsilon)
+        if not (_is_finite_number(self.cluster_mass_floor) and self.cluster_mass_floor >= 0):
+            raise ValueError("cluster_mass_floor must be a finite number >= 0, "
+                             f"got {self.cluster_mass_floor!r}")
         if self.controller is not None:
             _controller_state(self)
         return self

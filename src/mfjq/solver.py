@@ -57,6 +57,7 @@ class TrajectoryLog:
     rows: list = field(default_factory=list)
     div_sup: list = field(default_factory=list)
     switch_times: list = field(default_factory=list)
+    ceiling_gaps: list = field(default_factory=list)  # best - U per strict search
     snapshots: list = field(default_factory=list)  # (t, measure)
     meta: dict = field(default_factory=dict)
 
@@ -252,9 +253,11 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
         if state is not None:
             decision, state = decide_multi(t, mu, state, g_fields, V)
             ctrl = decision.control
-            slope_now = decision.best_slope
+            slope_now = decision.slope
             if decision.switched:
                 log.switch_times.append(t)
+            if decision.searched_slope is not None:
+                log.ceiling_gaps.append(decision.searched_slope - decision.ceiling)
             if ctrl is not None:
                 u_fn, g_u = ctrl.u, g_fields[ctrl.field_index]
         elif dynamics.prescribed_control is not None:

@@ -141,12 +141,19 @@ def suite_constraints(run_dir: Optional[Path] = None) -> list:
             log["control_sign"], c=ctrl["c"], kappa=ctrl["kappa"])
     spec = ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=5.0)
     log, _ = run_hk(spec)
-    return audit_constraints_log(log.t, log.column("control_a"),
+    rows = audit_constraints_log(log.t, log.column("control_a"),
                                  log.column("control_b"),
                                  log.column("control_eta"),
                                  log.column("control_sign"),
                                  c=spec.controller["c"],
                                  kappa=spec.controller["kappa"])
+    # the controller skips a strict search only where U settles the decision;
+    # that is sound only while no search finds a bump steeper than U
+    gaps = log.ceiling_gaps
+    worst = max(gaps, default=float("nan"))
+    rows.append(("strict search best <= ceiling U", bool(gaps) and worst <= 0.0,
+                 f"max best - U {worst:.2e} over {len(gaps)} strict searches"))
+    return rows
 
 
 def run_suite(name: str, run_dir: Optional[Path] = None) -> list:

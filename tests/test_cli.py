@@ -218,6 +218,11 @@ class TestRun:
                      id="cluster-floor-on-concentration"),
         pytest.param("concentration", {"initial_density": [0.0025] * 400}, (),
                      id="initial-density-on-concentration"),
+        pytest.param("hk_free", {"cluster_mass_floor": "x"}, (), id="cluster-floor-string"),
+        pytest.param("hk_free", {"cluster_mass_floor": float("nan")}, (),
+                     id="cluster-floor-nan"),
+        pytest.param("hk_free", {"epsilon": float("inf")}, (), id="epsilon-inf"),
+        pytest.param("hk_free", {"epsilon": True}, (), id="epsilon-bool"),
     ])
     def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()

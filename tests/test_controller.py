@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfjq import controller
+from mfjq import controller, solver
 from mfjq.controller import (N_A, N_ETA, N_W, ActiveControl, BumpParams,
                              ControllerState, SlopeEvaluator, bump_1d,
-                             decide_multi, search_maximizer, slope)
+                             decide_multi, search_maximizer, slope, slope_ceiling)
 from mfjq.lyapunov import variance_about
 from mfjq.measures import GridMeasure, ParticleMeasure
+from mfjq.scenarios import ScenarioSpec, run_hk
 
 
 def ones(x):
@@ -51,6 +52,28 @@ def clip_cases(seed):
          ControllerState(c=2.0, h=0.5, radius=12.0, kappa=0.8, eta_floor=0.24),
          50.0, True),
     ]
+
+
+def ungated_decide(t, mu, state, g_fields, V):
+    """(control, switched) of the decision rule with its strict search always run."""
+    evaluators = [SlopeEvaluator(mu, g, V) for g in g_fields]
+
+    def enter():
+        found = search_maximizer(evaluators, t, state)
+        if found is not None and found[2] >= state.phi2(t):
+            params, i, _, signed = found
+            return ActiveControl(params, -1 if signed > 0 else 1, i), True
+        return None, True
+
+    found = search_maximizer(evaluators, t, state, strict=True)
+    best = 0.0 if found is None else found[2]
+    ctrl = state.active
+    if ctrl is None:
+        return enter() if best >= state.phi3(t) else (None, False)
+    s_cur = evaluators[ctrl.field_index].slope(ctrl.params)
+    if s_cur <= state.phi1(t) or s_cur <= (1.0 - state.h) * best:
+        return enter()
+    return ctrl, False
 
 
 def count_candidates(monkeypatch):
@@ -186,6 +209,60 @@ class TestWindowBound:
         # q*m = 2x/4: -0.5, 0.25, 0.5, 1.0
         bound, _ = ev.window_bound([-1.0, 0.5, -3.0], [0.5, 2.0, -2.0], 0.1)
         np.testing.assert_allclose(bound, [0.5, 1.75, 0.0])
+
+
+class TestSlopeCeiling:
+    @given(seed=st.integers(0, 10_000), on_grid=st.booleans(), two_fields=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_bounds_the_strict_search(self, seed, on_grid, two_fields):
+        rng = np.random.default_rng(seed)
+        if on_grid:  # empty cells, and mass past the search window [-R, R]
+            cells = rng.random(int(rng.integers(4, 120))) * (rng.random() < 0.5)
+            cells[rng.integers(cells.size)] += 1.0
+            mu = GridMeasure(-8.0, 8.0, cells / cells.sum())
+        else:  # a single atom too, where the best bump meets the bound
+            mu = random_particles(rng, int(rng.integers(1, 60)), span=8.0)
+        fields = (ones, np.sin)[:1 + two_fields]
+        V = variance_about(rng.uniform(-6.0, 6.0), radius=8.0)
+        state = ControllerState(c=rng.uniform(0.1, 3.0), h=0.5, radius=6.0,
+                                kappa=rng.uniform(0.2, 2.0))
+        t = rng.uniform(0.0, 50.0)
+        evaluators = [SlopeEvaluator(mu, g, V) for g in fields]
+        U = slope_ceiling(evaluators, t, state)
+        found = search_maximizer(evaluators, t, state, strict=True)
+        if found is None:
+            assert state.eta_min(t, strict=True) > state.c / 2.0 and U == 0.0
+        else:
+            assert found[2] <= U
+
+    def test_dirac_meets_the_ceiling(self):
+        state = ControllerState(c=2.0, h=0.5, radius=10.0)
+        ev = SlopeEvaluator(ParticleMeasure.dirac(3.0), ones, variance_about(0.0, 10.0))
+        U = slope_ceiling([ev], 10.0, state)
+        _, _, s, _ = search_maximizer([ev], 10.0, state, strict=True)
+        assert s == 6.0 and 6.0 < U < 6.0 + 1e-6
+        # at t = 0 strict eta_min = 2 > c/2: nothing is admissible
+        assert slope_ceiling([ev], 0.0, state) == 0.0
+
+    def test_gate_keeps_every_decision(self, monkeypatch):
+        """Along a controlled run the gated rule decides as the ungated one,
+        while most queries skip their strict search."""
+        searched = []
+
+        def checked(t, mu, state, g_fields, V):
+            dec, new = decide_multi(t, mu, state, g_fields, V)
+            assert (dec.control, dec.switched) == ungated_decide(t, mu, state, g_fields, V), t
+            searched.append(dec.searched_slope is not None)
+            return dec, new
+
+        monkeypatch.setattr(solver, "decide_multi", checked)
+        log, _ = run_hk(ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=5.0))
+        assert log.n_switches > 0 and sum(searched) < 0.2 * len(searched)
+        assert len(log.ceiling_gaps) == sum(searched) and max(log.ceiling_gaps) <= 0.0
+        # the slope column is the applied control's slope, 0 when idle
+        active = log.column("control_sign") != 0
+        slope_col = log.column("slope")
+        assert np.all(slope_col[~active] == 0.0) and np.all(slope_col[active] > 0.0)
 
 
 class TestAdmissible:
