@@ -4,11 +4,14 @@
 Usage: python scripts/make_goldens.py
 
 The goldens are runs of three builtin scenarios: short horizons of the two
-grid scenarios and the shipped particle concentration demo.  The byte-level
-regression test in tests/test_golden.py re-runs them with identical flags and
-compares the CSV outputs.  Regenerate (and review the diff) only after an
+grid scenarios and the shipped particle concentration demo; and the standard
+output of `mfjq verify all`.  The byte-level regression test in
+tests/test_golden.py re-runs them with identical flags and compares the CSV
+outputs and the printed lines.  Regenerate (and review the diff) only after an
 intentional change to the numerics or the log format.
 """
+import contextlib
+import io
 import shutil
 import sys
 from pathlib import Path
@@ -16,7 +19,7 @@ from pathlib import Path
 from mfjq.cli import main as cli_main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.test_golden import GOLDEN_DIR, RUNS  # noqa: E402
+from tests.test_golden import GOLDEN_DIR, RUNS, VERIFY_ALL  # noqa: E402
 
 
 def main():
@@ -35,6 +38,13 @@ def main():
             for p in snaps[:-1]:
                 p.unlink()
         print(f"wrote {out}")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        rc = cli_main(["verify", "all"])
+    if rc != 0:
+        raise SystemExit(f"verify all: CLI exited with {rc}")
+    VERIFY_ALL.write_bytes(printed.getvalue().encode())
+    print(f"wrote {VERIFY_ALL}")
 
 
 if __name__ == "__main__":

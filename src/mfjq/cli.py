@@ -59,7 +59,7 @@ def _write_outputs(out: Path, spec: ScenarioSpec, log, extra: dict) -> None:
     for t, mu in log.snapshots:
         mu.to_csv(snap_dir / f"snapshot_t{t:.6g}.csv")
     meta = dict(version=__version__, seed=spec.seed, spec=spec.to_dict(),
-                n_switches=log.n_switches, **extra)
+                n_switches=log.n_switches, **extra, perf=log.perf, switches=log.switches)
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, default=str)
 

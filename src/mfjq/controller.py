@@ -22,7 +22,8 @@ The same bound, taken over one window of width c per atom, gives a ceiling U
 on the slope of every strictly admissible bump.  A query whose decision U
 already settles (idle with U < phi3, or a frozen bump that no bump below U
 can beat by the hysteresis margin) skips its strict search; the decisions
-are those of the search.
+are those of the search.  An idle query with nothing strictly admissible
+builds no evaluator at all.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lyapunov import MomentFunctional
-from .measures import Measure, as_atoms
+from .measures import GridMeasure, Measure, as_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ def bump_1d(a: float, b: float, eta: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     left = (x - a + eta) / eta
     right = (-x + b + eta) / eta
-    return np.clip(np.minimum(left, right), 0.0, 1.0)
+    return np.minimum(left, right).clip(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -98,19 +99,25 @@ class SlopeEvaluator:
     """Signed slope integrals q -> integral q(x) * bump(x) d mu(x) via prefix sums.
 
     q(x) = v'(x) * g(x) is fixed at construction (measure and control field
-    frozen); each candidate bump then costs O(log n_atoms).
+    frozen); each candidate bump then costs O(log n_atoms).  The atoms of a
+    grid measure, its cell midpoints, are sorted already.
     """
 
     def __init__(self, mu: Measure, g_field: Callable, V: MomentFunctional):
         x, w = as_atoms(mu)
-        order = np.argsort(x, kind="stable")
-        self.x = x[order]
-        qm = np.asarray(V.v_prime(self.x)) * np.asarray(g_field(self.x)) * w[order]
-        self.c0 = np.concatenate(([0.0], np.cumsum(qm)))
-        self.c1 = np.concatenate(([0.0], np.cumsum(self.x * qm)))
+        if not isinstance(mu, GridMeasure):
+            order = np.argsort(x, kind="stable")
+            x, w = x[order], w[order]
+        self.x = x
+        qm = np.asarray(V.v_prime(x)) * np.asarray(g_field(x)) * w
+        sums = np.empty((4, x.size + 1))
+        sums[:, 0] = 0.0
+        qm.cumsum(out=sums[0, 1:])
+        (x * qm).cumsum(out=sums[1, 1:])
         # prefix sums of the positive and negative parts, for window_bound
-        self.p0 = np.concatenate(([0.0], np.cumsum(np.maximum(qm, 0.0))))
-        self.n0 = np.concatenate(([0.0], np.cumsum(np.maximum(-qm, 0.0))))
+        np.maximum(qm, 0.0).cumsum(out=sums[2, 1:])
+        np.maximum(-qm, 0.0).cumsum(out=sums[3, 1:])
+        self.c0, self.c1, self.p0, self.n0 = sums
 
     def signed_batch(self, a, b, eta) -> np.ndarray:
         """Signed rate of V along bump(a,b,eta)*g, vectorized over candidates."""
@@ -119,10 +126,10 @@ class SlopeEvaluator:
         eta = np.asarray(eta, dtype=float)
         x, c0, c1 = self.x, self.c0, self.c1
         lo, hi = a - eta, b + eta
-        iL = np.searchsorted(x, lo, side="left")
-        iA = np.searchsorted(x, a, side="left")
-        iB = np.searchsorted(x, b, side="right")
-        iR = np.searchsorted(x, hi, side="right")
+        iL = x.searchsorted(lo, side="left")
+        iA = x.searchsorted(a, side="left")
+        iB = x.searchsorted(b, side="right")
+        iR = x.searchsorted(hi, side="right")
         cA, cB = c0[iA], c0[iB]
         # left ramp, atoms in [a-eta, a): weight (x - a + eta) / eta
         left = ((c1[iA] - c1[iL]) - lo * (cA - c0[iL])) / eta
@@ -142,8 +149,8 @@ class SlopeEvaluator:
         covers signed_batch's roundoff: its prefix-sum differences carry
         errors of order n * 1e-16 * sum |q m| * (|x| + |a|) / eta.
         """
-        iL = np.searchsorted(self.x, lo, side="left")
-        iR = np.searchsorted(self.x, hi, side="right")
+        iL = self.x.searchsorted(lo, side="left")
+        iR = self.x.searchsorted(hi, side="right")
         bound = np.maximum(self.p0[iR] - self.p0[iL], self.n0[iR] - self.n0[iL])
         reach = max(np.abs(self.x).max(), np.abs(lo).max(), np.abs(hi).max())
         allowance = 1e-9 * (self.p0[-1] + self.n0[-1]) * (1.0 + reach / eta_min)
@@ -211,9 +218,13 @@ class ControlDecision:
     switched: bool
     slope: float = 0.0            # slope of the control applied, 0 when idle
     current_slope: float = 0.0    # slope of the previously active bump
-    candidate_slope: float = 0.0  # slope of the challenger at a hysteresis switch
+    candidate_slope: float = 0.0  # at a switch: the challenger's slope, else the new bump's
     ceiling: float = 0.0          # U: no strictly admissible bump is steeper
     searched_slope: Optional[float] = None  # best strict slope, if the search ran
+    # why it switched: "entry" from idle, the active slope fell "below_phi1",
+    # or a "challenger" beat the hysteresis margin; None without a switch
+    reason: Optional[str] = None
+    empty: bool = False           # idle with nothing strictly admissible: nothing evaluated
 
 
 def _distinct(v) -> np.ndarray:
@@ -237,7 +248,7 @@ def _grid(centers, etas, w_lo, w_hi, c: float):
     # linspace divides before it multiplies on every row, moving last bits
     widths = lo + np.arange(N_W) * ((hi - lo) / (N_W - 1))
     widths[:, -1:] = hi
-    widths = np.clip(widths, 0.0, np.maximum(c - 2.0 * etas, 0.0)[:, None])
+    widths = widths.clip(0.0, np.maximum(c - 2.0 * etas, 0.0)[:, None])
     rows = _distinct(etas)
     centers, etas, widths = centers[_distinct(centers)], etas[rows], widths[rows]
     keep = _distinct(widths)
@@ -303,8 +314,8 @@ def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
             if round_:  # re-grid one coarse cell around the best candidate
                 m_c, w_c, e_c = float(m[k]), float(w[k]), float(e[k])
                 m, w, e = _grid(
-                    np.clip(np.linspace(m_c - dm, m_c + dm, N_A), -R, R),
-                    np.clip(np.linspace(e_c - de, e_c + de, N_ETA), eta_lo, c / 2.0),
+                    np.linspace(m_c - dm, m_c + dm, N_A).clip(-R, R),
+                    np.linspace(e_c - de, e_c + de, N_ETA).clip(eta_lo, c / 2.0),
                     w_c - dw, w_c + dw, c)
             a, b = m - 0.5 * w, m + 0.5 * w
             signed = ev.signed_batch(a, b, e)
@@ -340,7 +351,7 @@ def slope_ceiling(evaluators: Sequence[SlopeEvaluator], t: float,
 
 
 def _step_entry(t: float, state: ControllerState,
-                evaluators: Sequence[SlopeEvaluator],
+                evaluators: Sequence[SlopeEvaluator], reason: str,
                 current_slope: float) -> tuple[ControlDecision, ControllerState]:
     found = search_maximizer(evaluators, t, state, strict=False)
     ctrl, s = None, 0.0
@@ -351,7 +362,7 @@ def _step_entry(t: float, state: ControllerState,
             ctrl = ActiveControl(params, -1 if signed > 0 else 1, i)
     s = s if ctrl else 0.0
     return (ControlDecision(ctrl, True, slope=s, current_slope=current_slope,
-                            candidate_slope=s),
+                            candidate_slope=s, reason=reason),
             replace(state, active=ctrl))
 
 
@@ -364,30 +375,34 @@ def decide_multi(t: float, mu: Measure, state: ControllerState,
     active mode holds the frozen bump until its slope drops to phi1(t) or a
     strictly admissible challenger beats it by the hysteresis factor
     1/(1 - h).  Both exits funnel through a fresh steepest-descent search.
-    The strict search runs only when the ceiling U leaves the decision open.
+    The strict search runs only when the ceiling U leaves the decision open,
+    and an idle query with nothing strictly admissible (U = 0) evaluates
+    nothing.
     """
+    ctrl = state.active
+    if ctrl is None and state.eta_min(t, strict=True) > state.c / 2.0:
+        return ControlDecision(None, False, empty=True), state
     evaluators = [SlopeEvaluator(mu, g, V) for g in g_fields]
     U = slope_ceiling(evaluators, t, state)
-    ctrl = state.active
     if ctrl is None:
         if U < state.phi3(t):  # no bump can enter
             return ControlDecision(None, False, ceiling=U), state
         # U = 0 settles an empty admissible set, so every search that runs finds a bump
         best = search_maximizer(evaluators, t, state, strict=True)[2]
         if best >= state.phi3(t):
-            dec, state = _step_entry(t, state, evaluators, current_slope=0.0)
+            dec, state = _step_entry(t, state, evaluators, "entry", current_slope=0.0)
         else:
             dec = ControlDecision(None, False)
         return replace(dec, ceiling=U, searched_slope=best), state
     s_cur = evaluators[ctrl.field_index].slope(ctrl.params)
     if s_cur <= state.phi1(t):
-        dec, state = _step_entry(t, state, evaluators, current_slope=s_cur)
+        dec, state = _step_entry(t, state, evaluators, "below_phi1", current_slope=s_cur)
         return replace(dec, ceiling=U), state
     hold = ControlDecision(ctrl, False, slope=s_cur, current_slope=s_cur, ceiling=U)
     if s_cur > (1.0 - state.h) * U:  # no challenger can beat the margin
         return hold, state
     best = search_maximizer(evaluators, t, state, strict=True)[2]
     if s_cur <= (1.0 - state.h) * best:
-        dec, state = _step_entry(t, state, evaluators, current_slope=s_cur)
+        dec, state = _step_entry(t, state, evaluators, "challenger", current_slope=s_cur)
         return replace(dec, candidate_slope=best, ceiling=U, searched_slope=best), state
     return replace(hold, searched_slope=best), state

@@ -30,10 +30,17 @@ class InteractionKernel:
 
     def field_at(self, x_eval: np.ndarray, atoms_x: np.ndarray,
                  atoms_w: np.ndarray) -> np.ndarray:
+        """The field at each point of x_eval.
+
+        Each point's sum over the atoms runs on its own, so its value does not
+        depend on which other points are evaluated in the same call (a BLAS
+        matrix-vector product sums a row differently by its place in a block
+        of rows).
+        """
         x_eval = np.asarray(x_eval, dtype=float)
         if atoms_x.size == 0:
             return np.zeros_like(x_eval)
-        return self.rule(x_eval[..., None], atoms_x) @ atoms_w
+        return np.einsum("...j,j->...", self.rule(x_eval[..., None], atoms_x), atoms_w)
 
     def field_matrix(self, x_eval: np.ndarray, atoms_x: np.ndarray) -> np.ndarray:
         """Dense rule matrix K with field = K @ weights (positions fixed)."""
@@ -77,7 +84,7 @@ class HKKernel:
         r = np.abs(np.asarray(r, dtype=float))
         eps = self.epsilon
         ramp = -r / eps + 1.0 + 1.0 / eps
-        return np.where(r < 1.0, 1.0, np.clip(ramp, 0.0, 1.0))
+        return np.where(r < 1.0, 1.0, ramp.clip(0.0, 1.0))
 
     def interaction(self) -> InteractionKernel:
         eps = self.epsilon
@@ -111,4 +118,4 @@ def nonlocal_field(kernel: InteractionKernel, mu: Measure) -> Callable[[np.ndarr
 def ball_cutoff(x, ball: SupportBall, taper: float) -> np.ndarray:
     """Lipschitz cutoff: 1 inside B(0, R - taper), 0 outside B(0, R)."""
     r = np.abs(np.asarray(x, dtype=float))
-    return np.clip((ball.radius - r) / taper, 0.0, 1.0)
+    return ((ball.radius - r) / taper).clip(0.0, 1.0)

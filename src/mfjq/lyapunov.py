@@ -52,8 +52,13 @@ def lie_derivative(V: MomentFunctional, field: Callable, mu: Measure) -> float:
     return float(np.dot(np.asarray(V.v_prime(x)) * np.asarray(field(x)), w))
 
 
-def _rk4_flow(x: np.ndarray, field: Callable, tau: float) -> np.ndarray:
-    """Four RK4 steps of length tau / 4 along the frozen field."""
+def _rk4_flow(x: np.ndarray, field: Callable, tau) -> np.ndarray:
+    """Four RK4 steps of length tau / 4 along the frozen field.
+
+    ``tau`` is a scalar or one flow time per atom.  When the field at a point
+    depends on that point alone, as ``InteractionKernel.field_at`` does, each
+    atom's path depends only on its own start and flow time.
+    """
     h = tau / 4
     for _ in range(4):
         k1 = np.asarray(field(x))
@@ -69,14 +74,15 @@ def lie_derivative_fd_oracle(V: MomentFunctional, field: Callable, mu: Measure,
     """Central difference of V along the frozen-field flow (test oracle).
 
     Atomizes the measure, pushes the atoms forward and backward by tau with
-    RK4, and returns (V[+tau] - V[-tau]) / (2 tau).  Independent of the
-    closed form it validates.
+    RK4 (both in one flow of the doubled atoms), and returns
+    (V[+tau] - V[-tau]) / (2 tau).  Independent of the closed form it
+    validates.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
     x, w = as_atoms(mu)
-    xp = _rk4_flow(x, field, tau)
-    xm = _rk4_flow(x, field, -tau)
-    vp = float(np.dot(np.asarray(V.v(xp)), w))
-    vm = float(np.dot(np.asarray(V.v(xm)), w))
+    n = x.size
+    ends = _rk4_flow(np.concatenate((x, x)), field, np.repeat((tau, -tau), n))
+    vp = float(np.dot(np.asarray(V.v(ends[:n])), w))
+    vm = float(np.dot(np.asarray(V.v(ends[n:])), w))
     return (vp - vm) / (2.0 * tau)

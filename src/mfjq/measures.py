@@ -14,6 +14,7 @@ through quantile functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -55,7 +56,7 @@ class GridMeasure:
         object.__setattr__(self, "offset", off)
         if off.shape != m.shape:
             raise ValueError("offset must have one entry per cell")
-        if not np.all(np.abs(off) <= 0.5 + 1e-9):
+        if not (np.abs(off) <= 0.5 + 1e-9).all():
             raise ValueError("centroid offsets must lie in [-1/2, 1/2]")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
@@ -76,11 +77,14 @@ class GridMeasure:
 
     @property
     def edges(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_cells + 1)
+        """The n_cells + 1 cell edges; read-only, shared by every measure on
+        this grid."""
+        return _grid_geometry(self.x_min, self.x_max, self.n_cells)[0]
 
     @property
     def centers(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
+        """The cell midpoints; read-only, shared by every measure on this grid."""
+        return _grid_geometry(self.x_min, self.x_max, self.n_cells)[1]
 
     @property
     def centroids(self) -> np.ndarray:
@@ -137,6 +141,20 @@ class ParticleMeasure:
 
 
 Measure = Union[GridMeasure, ParticleMeasure]
+
+
+@lru_cache(maxsize=16)
+def _grid_geometry(x_min: float, x_max: float, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, centers) of a uniform grid, built once and frozen.
+
+    A run steps through many measures on one grid; they share these arrays,
+    which are read-only because every caller gets the same ones.
+    """
+    edges = np.linspace(x_min, x_max, n_cells + 1)
+    centers = x_min + (np.arange(n_cells) + 0.5) * ((x_max - x_min) / n_cells)
+    edges.flags.writeable = False
+    centers.flags.writeable = False
+    return edges, centers
 
 
 def write_csv(path, header, rows) -> None:
@@ -201,7 +219,7 @@ def sup_norm(mu: GridMeasure) -> float:
 def support_bounds(mu: Measure) -> tuple[float, float]:
     """Leftmost / rightmost location carrying more than mass 1e-14."""
     if isinstance(mu, GridMeasure):
-        idx = np.flatnonzero(mu.cell_mass > 1e-14)
+        idx = (mu.cell_mass > 1e-14).nonzero()[0]
         if idx.size == 0:
             return mu.x_min, mu.x_min
         e = mu.edges

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .controller import ControllerState, decide_multi
+from .controller import ControlDecision, ControllerState, decide_multi
 from .kernels import InteractionKernel, ball_cutoff
 from .lyapunov import MomentFunctional, value
 from .measures import (GridMeasure, Measure, ParticleMeasure, SupportBall,
@@ -50,16 +50,24 @@ CSV_COLUMNS = ["t", "V", "slope", "control_a", "control_b", "control_eta",
                "control_sign", "mass", "sup_norm", "supp_lo", "supp_hi"]
 
 
+# Counts of the work a run did, in meta.json's "perf" record.  Every controller
+# query is settled in one of four ways: skipped (idle, nothing admissible), by
+# the ceiling U, by a strict search, or by the active slope falling to phi1.
+PERF_COUNTS = ("cfl_substeps", "controller_queries", "strict_searches",
+               "settled_by_ceiling", "idle_queries_skipped")
+
+
 @dataclass
 class TrajectoryLog:
     dt: float
     dx: float
     rows: list = field(default_factory=list)
     div_sup: list = field(default_factory=list)
-    switch_times: list = field(default_factory=list)
+    switches: list = field(default_factory=list)  # one dict per controller switch
     ceiling_gaps: list = field(default_factory=list)  # best - U per strict search
     snapshots: list = field(default_factory=list)  # (t, measure)
     meta: dict = field(default_factory=dict)
+    perf: dict = field(default_factory=lambda: dict.fromkeys(PERF_COUNTS, 0))
 
     def append(self, t, V, slope, ctrl, mass, sup, lo, hi):
         a = b = eta = float("nan")
@@ -68,6 +76,22 @@ class TrajectoryLog:
             a, b, eta = ctrl.params.a, ctrl.params.b, ctrl.params.eta
             sign = ctrl.sign
         self.rows.append((t, V, slope, a, b, eta, sign, mass, sup, lo, hi))
+
+    def record_decision(self, t: float, decision: ControlDecision) -> None:
+        """Count a controller query by how it was settled; log its switch."""
+        perf = self.perf
+        perf["controller_queries"] += 1
+        if decision.switched:
+            self.switches.append(dict(t=t, reason=decision.reason,
+                                      current_slope=decision.current_slope,
+                                      candidate_slope=decision.candidate_slope))
+        if decision.searched_slope is not None:
+            perf["strict_searches"] += 1
+            self.ceiling_gaps.append(decision.searched_slope - decision.ceiling)
+        elif decision.empty:
+            perf["idle_queries_skipped"] += 1
+        elif decision.reason != "below_phi1":
+            perf["settled_by_ceiling"] += 1
 
     def column(self, name: str) -> np.ndarray:
         i = CSV_COLUMNS.index(name)
@@ -83,7 +107,7 @@ class TrajectoryLog:
 
     @property
     def n_switches(self) -> int:
-        return len(self.switch_times)
+        return len(self.switches)
 
     def to_csv(self, path) -> None:
         write_csv(path, CSV_COLUMNS, self.rows)
@@ -103,23 +127,23 @@ def _shift_cells(mass: np.ndarray, offset: np.ndarray,
     centroid, so mass and first moment carry over exactly.
     """
     n = mass.size
-    src = np.flatnonzero(mass)
+    src = mass.nonzero()[0]
     m, off = mass[src], offset[src]
     half = np.maximum(0.5 - np.abs(off), 0.0)
     centre = off + shift[src]                # relative to the source cell
     left, right = centre - half, centre + half
     k = np.floor(left + 0.5)                 # cell that receives the left end
     face = k + 0.5                           # right face of that cell
-    m_right = m * np.clip((right - face) / np.maximum(2.0 * half, 1e-300), 0.0, 1.0)
+    m_right = m * ((right - face) / np.maximum(2.0 * half, 1e-300)).clip(0.0, 1.0)
     parts = np.concatenate((m - m_right, m_right))
     # centroids of the two parts, relative to the cell each lands in
     offs = np.concatenate((0.5 * (left + np.minimum(right, face)) - k,
                            0.5 * (face + right) - (k + 1.0)))
-    dest = np.clip(np.concatenate((src + k, src + k + 1.0)).astype(np.intp), 0, n - 1)
+    dest = np.concatenate((src + k, src + k + 1.0)).astype(np.intp).clip(0, n - 1)
     new_mass = np.bincount(dest, parts, n)
     moment = np.bincount(dest, parts * offs, n)
     new_off = np.divide(moment, new_mass, out=np.zeros(n), where=new_mass > 0.0)
-    return new_mass, np.clip(new_off, -0.5, 0.5)
+    return new_mass, new_off.clip(-0.5, 0.5)
 
 
 def _upwind_substep(mass: np.ndarray, offset: np.ndarray, v_edges: np.ndarray,
@@ -137,14 +161,16 @@ def _upwind_substep(mass: np.ndarray, offset: np.ndarray, v_edges: np.ndarray,
     moment = (offset * (mass - out)
               - 0.5 * dt * (np.maximum(flux[:-1], 0.0) + np.minimum(flux[1:], 0.0)))
     new_off = np.divide(moment, new_mass, out=np.zeros(mass.size), where=new_mass > 0.0)
-    return new_mass, np.clip(new_off, -0.5, 0.5)
+    return new_mass, new_off.clip(-0.5, 0.5)
 
 
 CFL_MAX = 0.9  # a sub-step of step_grid moves mass at most this many cells
 
 
-def step_grid(mu: GridMeasure, field: np.ndarray, dt: float,
-              drift: Optional[np.ndarray] = None) -> GridMeasure:
+def step_grid(mu: GridMeasure, field: np.ndarray, dt: float, *,
+              drift: Optional[np.ndarray] = None,
+              drift_velocity: Optional[np.ndarray] = None,
+              perf: Optional[dict] = None) -> GridMeasure:
     """One finite-volume step; sub-divides internally to honor the CFL bound.
 
     ``field`` holds the velocity at the n_cells + 1 cell edges; its flux is
@@ -152,17 +178,21 @@ def step_grid(mu: GridMeasure, field: np.ndarray, dt: float,
     matrix K: cell i moves with velocity (K @ cell_mass)_i, re-evaluated
     every sub-step, and its content is shifted rigidly.  When K is
     antisymmetric (an odd kernel sampled at the cell midpoints) the drift
-    conserves ``barycenter(mu)`` to roundoff.
+    conserves ``barycenter(mu)`` to roundoff.  ``drift_velocity`` is
+    K @ mu.cell_mass when the caller has it already.  The sub-steps taken are
+    added to ``perf["cfl_substeps"]`` when ``perf`` is given.
     """
     v_edges = np.asarray(field, dtype=float)
     if v_edges.shape != (mu.n_cells + 1,):
         raise ValueError("edge velocity array has wrong shape")
     mass, offset = mu.cell_mass, mu.offset
-    vmax = float(np.max(np.abs(v_edges)))
+    vmax = float(np.abs(v_edges).max())
     if drift is not None:
-        w = drift @ mass
-        vmax = max(vmax, float(np.max(np.abs(w))))
+        w = drift @ mass if drift_velocity is None else drift_velocity
+        vmax = max(vmax, float(np.abs(w).max()))
     n_sub = max(1, math.ceil(vmax * dt / (CFL_MAX * mu.dx))) if vmax > 0 else 1
+    if perf is not None:
+        perf["cfl_substeps"] += n_sub
     h = dt / n_sub
     for j in range(n_sub):
         if drift is not None:
@@ -231,10 +261,13 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     taper = ball.radius / 10.0
     f = dynamics.f_kernel
     Kf = None
-    if grid and f is not None:
-        # the drift moves cell contents with velocities at the midpoints
-        c = mu.centers
-        Kf = ball_cutoff(c, ball, taper)[:, None] * f.field_matrix(c, c)
+    if grid:
+        edges = mu.edges
+        cut_e = ball_cutoff(edges, ball, taper)
+        if f is not None:
+            # the drift moves cell contents with velocities at the midpoints
+            c = mu.centers
+            Kf = ball_cutoff(c, ball, taper)[:, None] * f.field_matrix(c, c)
 
     state = dynamics.controller
     log = TrajectoryLog(dt=config.dt, dx=mu.dx if grid else 0.0)
@@ -242,6 +275,7 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     n_steps = int(round(config.t_end / config.dt))
     last_snap = -math.inf
     t = 0.0
+    u_ctrl = u_e = None  # the held bump and its values at the edges
     for k in range(n_steps + 1):
         ax, aw = (mu.centers, mu.cell_mass) if grid else (mu.x, mu.weights)
         g_fields = [
@@ -249,40 +283,41 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
             for g in dynamics.g_kernels
         ]
 
-        ctrl, slope_now, u_fn = None, 0.0, None
+        ctrl, slope_now, u_fn, g_index = None, 0.0, None, 0
         if state is not None:
             decision, state = decide_multi(t, mu, state, g_fields, V)
+            log.record_decision(t, decision)
             ctrl = decision.control
             slope_now = decision.slope
-            if decision.switched:
-                log.switch_times.append(t)
-            if decision.searched_slope is not None:
-                log.ceiling_gaps.append(decision.searched_slope - decision.ceiling)
             if ctrl is not None:
-                u_fn, g_u = ctrl.u, g_fields[ctrl.field_index]
+                u_fn, g_index = ctrl.u, ctrl.field_index
         elif dynamics.prescribed_control is not None:
-            u_fn, g_u = dynamics.prescribed_control(t), g_fields[0]
-
-        def control(x):  # u g[mu]
-            if u_fn is None:
-                return np.zeros_like(np.asarray(x, dtype=float))
-            return np.asarray(u_fn(x), dtype=float) * g_u(x)
-
-        def velocity(x):  # f[mu] + u g[mu], for the particles
-            v = control(x)
-            return v if f is None else f.field_at(x, ax, aw) * ball_cutoff(x, ball, taper) + v
+            u_fn = dynamics.prescribed_control(t)
 
         if grid:  # the drift goes through Kf, so the edge field is the control alone
-            v_e = control(mu.edges)
+            w_drift = None if Kf is None else Kf @ aw
+            if u_fn is None:
+                v_e = np.zeros(edges.size)
+            else:
+                if ctrl is None or ctrl is not u_ctrl:
+                    u_ctrl, u_e = ctrl, np.asarray(u_fn(edges), dtype=float)
+                g = dynamics.g_kernels[g_index]
+                v_e = u_e * (g.field_at(edges, ax, aw) * cut_e)
+        else:
+            def velocity(x):  # f[mu] + u g[mu]
+                v = (np.zeros_like(np.asarray(x, dtype=float)) if u_fn is None
+                     else np.asarray(u_fn(x), dtype=float) * g_fields[g_index](x))
+                return v if f is None else f.field_at(x, ax, aw) * ball_cutoff(x, ball, taper) + v
+
         if k % config.log_every == 0 or k == n_steps:
             lo, hi = _check_support(mu, ball, mu.dx + 1e-9 if grid else 1e-9)
             log.append(t, value(V, mu), slope_now, ctrl, total_mass(mu),
                        sup_norm(mu) if grid else float("nan"), lo, hi)
             if grid:
                 # the two velocities the step uses: drift at midpoints, control at edges
-                div = np.max(np.abs(np.diff(v_e)))
-                if Kf is not None:
-                    div += np.max(np.abs(np.diff(Kf @ aw)))
+                div = np.abs(v_e[1:] - v_e[:-1]).max()
+                if w_drift is not None:
+                    div += np.abs(w_drift[1:] - w_drift[:-1]).max()
                 log.div_sup.append(float(div / mu.dx))
         every = config.snapshot_every
         if every is not None and t - last_snap >= every - 1e-12:
@@ -291,7 +326,8 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
         if k == n_steps:
             break
         if grid:
-            mu = step_grid(mu, v_e, config.dt, drift=Kf)
+            mu = step_grid(mu, v_e, config.dt, drift=Kf, drift_velocity=w_drift,
+                           perf=log.perf)
         else:
             mu = step_particles(mu, velocity, config.dt)
         t = (k + 1) * config.dt

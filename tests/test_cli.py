@@ -8,7 +8,7 @@ import pytest
 
 from mfjq import verify
 from mfjq.cli import _build_parser, main
-from mfjq.scenarios import ScenarioSpec
+from mfjq.scenarios import ScenarioSpec, run_hk
 from mfjq.verify import run_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -44,8 +44,34 @@ class TestRun:
         assert meta["seed"] == 42
         assert meta["spec"]["n_cells"] == 100
         assert "version" in meta
+        # 100 steps of one sub-step each, and no controller
+        assert meta["perf"] == dict(cfl_substeps=100, controller_queries=0, strict_searches=0,
+                                    settled_by_ceiling=0, idle_queries_skipped=0)
+        assert meta["switches"] == []
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header.startswith("t,V,slope,control_a")
+
+    def test_controlled_run_perf_and_switches(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--scenario", "hk_ctrl_h05", "--t-end", "2", "--cells", "100",
+                        "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        perf, switches = meta["perf"], meta["switches"]
+        log, _ = run_hk(ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=2.0, cells=100))
+        assert perf == log.perf
+        # 200 steps of dt = 0.01, one sub-step each at 100 cells
+        assert perf["cfl_substeps"] == 200
+        assert perf["strict_searches"] == len(log.ceiling_gaps)
+        # every query is skipped, settled by U, searched, or left below phi1
+        below_phi1 = sum(sw["reason"] == "below_phi1" for sw in switches)
+        assert perf["controller_queries"] == 201 == (
+            perf["idle_queries_skipped"] + perf["settled_by_ceiling"]
+            + perf["strict_searches"] + below_phi1)
+        assert perf["idle_queries_skipped"] > 0
+        assert len(switches) == meta["n_switches"] > 0
+        assert switches[0]["reason"] == "entry" and switches[0]["current_slope"] == 0.0
+        assert {sw["reason"] for sw in switches} <= {"entry", "below_phi1", "challenger"}
+        assert [sw["t"] for sw in switches] == sorted(sw["t"] for sw in switches)
 
     def test_config_file_run(self, tmp_path):
         spec = ScenarioSpec.builtin("hk_free").apply_overrides(

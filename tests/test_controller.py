@@ -7,7 +7,7 @@ from mfjq.controller import (N_A, N_ETA, N_W, ActiveControl, BumpParams,
                              ControllerState, SlopeEvaluator, bump_1d,
                              decide_multi, search_maximizer, slope, slope_ceiling)
 from mfjq.lyapunov import variance_about
-from mfjq.measures import GridMeasure, ParticleMeasure
+from mfjq.measures import GridMeasure, ParticleMeasure, as_atoms
 from mfjq.scenarios import ScenarioSpec, run_hk
 
 
@@ -167,6 +167,24 @@ class TestSlopeEvaluator:
         # only the atom at 1.0 is covered: slope = |2 * 1.0 * 0.5|
         assert slope(mu, ones, V, p) == pytest.approx(1.0)
 
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_grid_skips_the_sort(self, seed):
+        """On a grid the evaluator takes the midpoints as sorted; its prefix
+        sums are those of the argsort path on the same atoms, bit for bit."""
+        rng = np.random.default_rng(seed)
+        cells = rng.random(int(rng.integers(1, 200))) * (rng.random() < 0.5)
+        cells[rng.integers(cells.size)] += 1.0
+        mu = GridMeasure(-6.0, 6.0, cells / cells.sum())
+        x, w = as_atoms(mu)
+        shuffle = rng.permutation(x.size)
+        atoms = ParticleMeasure(x[shuffle], w[shuffle])
+        g = np.sin if rng.random() < 0.5 else ones
+        V = variance_about(rng.uniform(-6.0, 6.0), radius=6.0)
+        grid_ev, sorted_ev = SlopeEvaluator(mu, g, V), SlopeEvaluator(atoms, g, V)
+        for name in ("x", "c0", "c1", "p0", "n0"):
+            assert getattr(grid_ev, name).tobytes() == getattr(sorted_ev, name).tobytes(), name
+
     def test_grid_measure_atomized(self):
         mu = GridMeasure.uniform(-1.0, 1.0, -2.0, 2.0, 4000)
         V = variance_about(0.0, radius=6.0)
@@ -243,6 +261,22 @@ class TestSlopeCeiling:
         assert s == 6.0 and 6.0 < U < 6.0 + 1e-6
         # at t = 0 strict eta_min = 2 > c/2: nothing is admissible
         assert slope_ceiling([ev], 0.0, state) == 0.0
+
+    def test_nothing_admissible_evaluates_nothing(self, monkeypatch):
+        """An idle query with an empty strict admissible set builds no
+        evaluator and stays idle with ceiling 0."""
+        def refuse(*args):
+            raise AssertionError("SlopeEvaluator built")
+
+        monkeypatch.setattr(controller, "SlopeEvaluator", refuse)
+        state = ControllerState(c=2.0, h=0.5, radius=10.0)
+        mu, V = ParticleMeasure.dirac(3.0), variance_about(0.0, 10.0)
+        # at t = 0 strict eta_min = 2 > c/2
+        dec, new = decide_multi(0.0, mu, state, (ones,), V)
+        assert dec.control is None and not dec.switched and dec.empty
+        assert dec.ceiling == 0.0 and new is state
+        with pytest.raises(AssertionError):  # at t = 10 the query evaluates
+            decide_multi(10.0, mu, state, (ones,), V)
 
     def test_gate_keeps_every_decision(self, monkeypatch):
         """Along a controlled run the gated rule decides as the ungated one,
@@ -438,7 +472,7 @@ class TestStateMachine:
         V = variance_about(0.0, radius=10.0)
         t = 10.0  # phi3 = 2/11 << slope 6
         dec, new = decide_multi(t, mu, state, (ones,), V)
-        assert dec.control is not None and dec.switched
+        assert dec.control is not None and dec.switched and dec.reason == "entry"
         assert dec.control.sign == -1   # push mass at x > 0 toward 0
         assert new.active is dec.control
 
@@ -459,7 +493,7 @@ class TestStateMachine:
         ctrl = dec.control
         dec2, state2 = decide_multi(10.01, mu, state, (ones,), V)
         assert dec2.control is ctrl  # frozen, not re-searched
-        assert not dec2.switched
+        assert not dec2.switched and dec2.reason is None
         assert dec2.current_slope == pytest.approx(6.0)
 
     def test_hysteresis_switch(self):
@@ -472,7 +506,7 @@ class TestStateMachine:
         # mass teleports far away: old bump now covers nothing
         mu2 = ParticleMeasure(np.array([[3.0], [-8.0]]), np.array([0.01, 0.99]))
         dec2, state2 = decide_multi(10.01, mu2, state, (ones,), V)
-        assert dec2.switched
+        assert dec2.switched and dec2.reason == "challenger"
         assert dec2.control is not None and dec2.control is not old
         assert dec2.current_slope <= (1.0 - state.h) * dec2.candidate_slope + 1e-9
 
@@ -484,7 +518,7 @@ class TestStateMachine:
         # all mass reaches the center: active slope drops to 0 <= phi1
         mu2 = ParticleMeasure.dirac(0.0)
         dec2, state2 = decide_multi(10.5, mu2, state, (ones,), V)
-        assert dec2.switched and dec2.control is None
+        assert dec2.switched and dec2.control is None and dec2.reason == "below_phi1"
         assert state2.active is None
 
     def test_multi_field_single_active(self):

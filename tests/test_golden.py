@@ -1,9 +1,10 @@
 """Byte-level regression against the committed golden run outputs.
 
 The goldens are produced by scripts/make_goldens.py: short-horizon runs of
-the two grid scenarios and the shipped particle concentration demo.  Every
-golden file must reproduce exactly (the CSV writer uses a fixed %.12g format,
-so any numerical change shows up as a byte diff).
+the two grid scenarios and the shipped particle concentration demo, and the
+standard output of `mfjq verify all`.  Every golden file must reproduce
+exactly (the CSV writer uses a fixed %.12g format, so any numerical change
+shows up as a byte diff).
 """
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from mfjq.cli import main as cli_main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+VERIFY_ALL = GOLDEN_DIR / "verify_all.txt"  # the stdout of `mfjq verify all`
 
 # scenario name -> (extra CLI flags, every snapshot is golden); also read by
 # scripts/make_goldens.py.  The concentration demo keeps its trajectory and
@@ -40,3 +42,8 @@ def test_golden_run_reproduces(name, tmp_path):
         assert golden_csvs == fresh_csvs
     for rel in golden_csvs:
         assert (out / rel).read_bytes() == (golden / rel).read_bytes(), rel
+
+
+def test_verify_all_stdout_reproduces(capsys):
+    assert cli_main(["verify", "all"]) == 0
+    assert capsys.readouterr().out.encode() == VERIFY_ALL.read_bytes()

@@ -61,6 +61,20 @@ class TestHKField:
         np.testing.assert_allclose(kern.field_matrix(x, ax) @ aw,
                                    kern.field_at(x, ax, aw), atol=1e-13)
 
+    @given(seed=st.integers(0, 1000))
+    @settings(max_examples=50, deadline=None)
+    def test_field_at_is_pointwise(self, seed):
+        """A point's field does not depend on the other points of the call."""
+        rng = np.random.default_rng(seed)
+        kern = HKKernel(0.05).interaction()
+        n = int(rng.integers(1, 60))
+        ax = rng.uniform(-5, 5, n)
+        aw = rng.uniform(0.1, 1, n)
+        aw /= aw.sum()
+        x = rng.uniform(-6, 6, int(rng.integers(1, 60)))
+        more = np.concatenate((x, rng.uniform(-6, 6, int(rng.integers(1, 60)))))
+        assert kern.field_at(more, ax, aw)[:x.size].tobytes() == kern.field_at(x, ax, aw).tobytes()
+
     @given(seed=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_declared_bound_holds(self, seed):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfjq.controller import bump_1d
 from mfjq.kernels import HKKernel, nonlocal_field
-from mfjq.lyapunov import (MomentFunctional, lie_derivative,
+from mfjq.lyapunov import (MomentFunctional, _rk4_flow, lie_derivative,
                            lie_derivative_fd_oracle, value, variance_about)
 from mfjq.measures import GridMeasure, ParticleMeasure, moment
 
@@ -95,6 +95,31 @@ class TestLieDerivative:
         with pytest.raises(ValueError):
             lie_derivative_fd_oracle(V, lambda x: x, ParticleMeasure.dirac(0.0),
                                      tau=0.0)
+
+
+class TestBatchedFlow:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_one_flow_matches_two(self, seed):
+        """The oracle's single flow of [x, x] by [+tau, -tau] gives each atom
+        the path, and the oracle the value, of two separate flows, bit for bit."""
+        rng = np.random.default_rng(seed)
+        mu = random_particles(rng, int(rng.integers(1, 60)))
+        if rng.random() < 0.5:  # any number of sources, not random_field's 20
+            sources = random_particles(rng, int(rng.integers(1, 60)))
+            field = nonlocal_field(HKKernel(0.05).interaction(), sources)
+        else:
+            field = random_field(rng)
+        V = variance_about(rng.uniform(-1.0, 1.0), radius=6.0)
+        tau = 1e-4
+        x, n = mu.x, mu.x.size
+        both = _rk4_flow(np.concatenate((x, x)), field, np.repeat((tau, -tau), n))
+        xp, xm = _rk4_flow(x, field, tau), _rk4_flow(x, field, -tau)
+        assert both[:n].tobytes() == xp.tobytes()
+        assert both[n:].tobytes() == xm.tobytes()
+        vp = float(np.dot(V.v(xp), mu.weights))
+        vm = float(np.dot(V.v(xm), mu.weights))
+        assert lie_derivative_fd_oracle(V, field, mu, tau) == (vp - vm) / (2.0 * tau)
 
 
 class TestDissipativity:

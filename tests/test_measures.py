@@ -49,6 +49,24 @@ class TestGridMeasure:
         np.testing.assert_allclose(mu.centers, [0.125, 0.375, 0.625, 0.875])
         np.testing.assert_allclose(mu.density, 1.0)
 
+    @given(x_min=st.floats(-100.0, 100.0), width=st.floats(1e-3, 200.0),
+           n=st.integers(1, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_read_only_geometry(self, x_min, width, n):
+        """edges and centers are the linspace / arange formulas bit for bit,
+        one read-only pair for every measure on a grid."""
+        x_max = x_min + width
+        mu = GridMeasure(x_min, x_max, np.full(n, 1.0 / n))
+        dx = (x_max - x_min) / n
+        assert mu.edges.tobytes() == np.linspace(x_min, x_max, n + 1).tobytes()
+        assert mu.centers.tobytes() == (x_min + (np.arange(n) + 0.5) * dx).tobytes()
+        other = GridMeasure(x_min, x_max, mu.cell_mass.copy())
+        assert other.edges is mu.edges and other.centers is mu.centers
+        with pytest.raises(ValueError):
+            mu.edges[0] = 1.0
+        with pytest.raises(ValueError):
+            mu.centers[-1] = 1.0
+
     def test_mass_must_be_one(self):
         with pytest.raises(ValueError):
             GridMeasure(0.0, 1.0, np.full(4, 0.3))

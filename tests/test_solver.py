@@ -72,6 +72,12 @@ class TestDriftTransport:
         np.testing.assert_array_equal(out.cell_mass, mu.cell_mass)
         np.testing.assert_array_equal(out.offset, mu.offset)
 
+    def test_drift_is_keyword_only(self):
+        # a fourth positional argument once was the CFL number
+        mu = grid_uniform(-1, 1)
+        with pytest.raises(TypeError):
+            step_grid(mu, np.zeros(mu.n_cells + 1), 0.1, hk_drift(mu))
+
     @given(seed=st.integers(0, 2000), dt=st.floats(0.01, 0.5))
     @settings(max_examples=40, deadline=None)
     def test_mass_positivity_barycenter(self, seed, dt):
