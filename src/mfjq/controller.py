@@ -100,7 +100,8 @@ class SlopeEvaluator:
 
     q(x) = v'(x) * g(x) is fixed at construction (measure and control field
     frozen); each candidate bump then costs O(log n_atoms).  The atoms of a
-    grid measure, its cell midpoints, are sorted already.
+    grid measure, its cell midpoints, are sorted already.  ``scored`` counts
+    the candidates signed_batch has evaluated.
     """
 
     def __init__(self, mu: Measure, g_field: Callable, V: MomentFunctional):
@@ -118,6 +119,7 @@ class SlopeEvaluator:
         np.maximum(qm, 0.0).cumsum(out=sums[2, 1:])
         np.maximum(-qm, 0.0).cumsum(out=sums[3, 1:])
         self.c0, self.c1, self.p0, self.n0 = sums
+        self.scored = 0
 
     def signed_batch(self, a, b, eta) -> np.ndarray:
         """Signed rate of V along bump(a,b,eta)*g, vectorized over candidates."""
@@ -137,7 +139,9 @@ class SlopeEvaluator:
         mid = cB - cA
         # right ramp, atoms in (b, b+eta]: weight (b + eta - x) / eta
         right = (hi * (c0[iR] - cB) - (c1[iR] - c1[iB])) / eta
-        return left + mid + right
+        signed = left + mid + right
+        self.scored += signed.size
+        return signed
 
     def window_bound(self, lo, hi, eta_min: float):
         """(bound, allowance): |signed_batch| <= bound + allowance for every
@@ -225,6 +229,7 @@ class ControlDecision:
     # or a "challenger" beat the hysteresis margin; None without a switch
     reason: Optional[str] = None
     empty: bool = False           # idle with nothing strictly admissible: nothing evaluated
+    scored: int = 0               # candidates the query's slope evaluators scored
 
 
 def _distinct(v) -> np.ndarray:
@@ -379,10 +384,16 @@ def decide_multi(t: float, mu: Measure, state: ControllerState,
     and an idle query with nothing strictly admissible (U = 0) evaluates
     nothing.
     """
-    ctrl = state.active
-    if ctrl is None and state.eta_min(t, strict=True) > state.c / 2.0:
+    if state.active is None and state.eta_min(t, strict=True) > state.c / 2.0:
         return ControlDecision(None, False, empty=True), state
     evaluators = [SlopeEvaluator(mu, g, V) for g in g_fields]
+    dec, state = _settle(t, state, evaluators)
+    return replace(dec, scored=sum(ev.scored for ev in evaluators)), state
+
+
+def _settle(t: float, state: ControllerState, evaluators: Sequence[SlopeEvaluator]
+            ) -> tuple[ControlDecision, ControllerState]:
+    ctrl = state.active
     U = slope_ceiling(evaluators, t, state)
     if ctrl is None:
         if U < state.phi3(t):  # no bump can enter

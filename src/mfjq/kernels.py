@@ -14,6 +14,10 @@ import numpy as np
 
 from .measures import Measure, SupportBall, as_atoms
 
+# Entries per row block of field_matrix: 2**13 float64, a 64 KiB temporary
+# that the allocator recycles instead of mapping fresh pages for each block.
+BLOCK_ENTRIES = 2 ** 13
+
 
 @dataclass(frozen=True)
 class InteractionKernel:
@@ -43,8 +47,18 @@ class InteractionKernel:
         return np.einsum("...j,j->...", self.rule(x_eval[..., None], atoms_x), atoms_w)
 
     def field_matrix(self, x_eval: np.ndarray, atoms_x: np.ndarray) -> np.ndarray:
-        """Dense rule matrix K with field = K @ weights (positions fixed)."""
-        return self.rule(np.asarray(x_eval, dtype=float)[:, None], atoms_x)
+        """Dense rule matrix K with field = K @ weights (positions fixed).
+
+        Built a block of rows at a time, so the rule's temporaries stay at
+        most BLOCK_ENTRIES wide however large K is; every entry is the rule
+        of the same two numbers, so K is bit-identical to the unblocked rule.
+        """
+        x_eval = np.asarray(x_eval, dtype=float)
+        out = np.empty((x_eval.size, np.size(atoms_x)))
+        rows = max(1, BLOCK_ENTRIES // max(out.shape[1], 1))
+        for i in range(0, x_eval.size, rows):
+            out[i:i + rows] = self.rule(x_eval[i:i + rows, None], atoms_x)
+        return out
 
 
 @dataclass(frozen=True)

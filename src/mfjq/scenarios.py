@@ -303,7 +303,7 @@ def default_epsilon_schedule(c: float, n_intervals: int = 20) -> list:
 
 
 def _smoothstep(y: np.ndarray) -> np.ndarray:
-    y = np.clip(y, 0.0, 1.0)
+    y = y.clip(0.0, 1.0)
     return y * y * (3.0 - 2.0 * y)
 
 

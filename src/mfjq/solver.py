@@ -53,8 +53,11 @@ CSV_COLUMNS = ["t", "V", "slope", "control_a", "control_b", "control_eta",
 # Counts of the work a run did, in meta.json's "perf" record.  Every controller
 # query is settled in one of four ways: skipped (idle, nothing admissible), by
 # the ceiling U, by a strict search, or by the active slope falling to phi1.
+# candidates_scored counts every candidate bump whose slope was evaluated.  The
+# record also keeps max_best_over_ceiling, the largest best / U over the strict
+# searches (at most 1; None when no strict search ran).
 PERF_COUNTS = ("cfl_substeps", "controller_queries", "strict_searches",
-               "settled_by_ceiling", "idle_queries_skipped")
+               "settled_by_ceiling", "idle_queries_skipped", "candidates_scored")
 
 
 @dataclass
@@ -67,7 +70,8 @@ class TrajectoryLog:
     ceiling_gaps: list = field(default_factory=list)  # best - U per strict search
     snapshots: list = field(default_factory=list)  # (t, measure)
     meta: dict = field(default_factory=dict)
-    perf: dict = field(default_factory=lambda: dict.fromkeys(PERF_COUNTS, 0))
+    perf: dict = field(default_factory=lambda: dict.fromkeys(PERF_COUNTS, 0)
+                       | {"max_best_over_ceiling": None})
 
     def append(self, t, V, slope, ctrl, mass, sup, lo, hi):
         a = b = eta = float("nan")
@@ -81,6 +85,7 @@ class TrajectoryLog:
         """Count a controller query by how it was settled; log its switch."""
         perf = self.perf
         perf["controller_queries"] += 1
+        perf["candidates_scored"] += decision.scored
         if decision.switched:
             self.switches.append(dict(t=t, reason=decision.reason,
                                       current_slope=decision.current_slope,
@@ -88,6 +93,9 @@ class TrajectoryLog:
         if decision.searched_slope is not None:
             perf["strict_searches"] += 1
             self.ceiling_gaps.append(decision.searched_slope - decision.ceiling)
+            # a strict search runs only when U > phi1(t) > 0
+            ratio = decision.searched_slope / decision.ceiling
+            perf["max_best_over_ceiling"] = max(ratio, perf["max_best_over_ceiling"] or 0.0)
         elif decision.empty:
             perf["idle_queries_skipped"] += 1
         elif decision.reason != "below_phi1":
@@ -267,7 +275,8 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
         if f is not None:
             # the drift moves cell contents with velocities at the midpoints
             c = mu.centers
-            Kf = ball_cutoff(c, ball, taper)[:, None] * f.field_matrix(c, c)
+            Kf = f.field_matrix(c, c)
+            Kf *= ball_cutoff(c, ball, taper)[:, None]
 
     state = dynamics.controller
     log = TrajectoryLog(dt=config.dt, dx=mu.dx if grid else 0.0)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfjq import verify
+from mfjq import solver, verify
+from mfjq.controller import SlopeEvaluator
 from mfjq.cli import _build_parser, main
 from mfjq.scenarios import ScenarioSpec, run_hk
 from mfjq.verify import run_suite
@@ -46,19 +47,39 @@ class TestRun:
         assert "version" in meta
         # 100 steps of one sub-step each, and no controller
         assert meta["perf"] == dict(cfl_substeps=100, controller_queries=0, strict_searches=0,
-                                    settled_by_ceiling=0, idle_queries_skipped=0)
+                                    settled_by_ceiling=0, idle_queries_skipped=0,
+                                    candidates_scored=0, max_best_over_ceiling=None)
         assert meta["switches"] == []
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header.startswith("t,V,slope,control_a")
 
-    def test_controlled_run_perf_and_switches(self, tmp_path):
+    def test_controlled_run_perf_and_switches(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         assert run_cli(["run", "--scenario", "hk_ctrl_h05", "--t-end", "2", "--cells", "100",
                         "--out", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
         perf, switches = meta["perf"], meta["switches"]
+        # count the candidates and the strict searches' best / U from outside
+        scored, ratios = [], []
+        signed_batch, decide_multi = SlopeEvaluator.signed_batch, solver.decide_multi
+
+        def counted_batch(ev, a, b, eta):
+            scored.append(np.broadcast(np.asarray(a), np.asarray(b), np.asarray(eta)).size)
+            return signed_batch(ev, a, b, eta)
+
+        def recorded_decide(*args):
+            decision, state = decide_multi(*args)
+            if decision.searched_slope is not None:
+                ratios.append(decision.searched_slope / decision.ceiling)
+            return decision, state
+
+        monkeypatch.setattr(SlopeEvaluator, "signed_batch", counted_batch)
+        monkeypatch.setattr(solver, "decide_multi", recorded_decide)
         log, _ = run_hk(ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=2.0, cells=100))
         assert perf == log.perf
+        assert perf["candidates_scored"] == sum(scored) > 0
+        assert len(ratios) == perf["strict_searches"] > 0
+        assert perf["max_best_over_ceiling"] == max(ratios) <= 1.0
         # 200 steps of dt = 0.01, one sub-step each at 100 cells
         assert perf["cfl_substeps"] == 200
         assert perf["strict_searches"] == len(log.ceiling_gaps)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfjq.kernels import (HKKernel, ball_cutoff, constant_kernel, make_kernel,
-                          nonlocal_field)
-from mfjq.measures import ParticleMeasure, SupportBall
+from mfjq.kernels import (BLOCK_ENTRIES, HKKernel, ball_cutoff, constant_kernel,
+                          make_kernel, nonlocal_field)
+from mfjq.measures import GridMeasure, ParticleMeasure, SupportBall
+from mfjq.scenarios import ScenarioSpec, run_hk
 
 
 class TestHKPhi:
@@ -126,3 +129,97 @@ class TestBallCutoff:
         x = np.array([0.0, 1.4, 2.5])
         np.testing.assert_allclose(np.ones_like(x) * ball_cutoff(x, ball, 0.5),
                                    [1.0, 1.0, 0.0])
+
+
+HK = HKKernel(0.05).interaction()
+
+
+def _points(rng, n: int) -> np.ndarray:
+    """Random points, half of them on a lattice of step eps / 4, so that some
+    distances fall exactly on the ramp's ends 1 and 1 + eps."""
+    lattice = rng.integers(-80, 80, n) * 0.0125
+    return np.where(rng.random(n) < 0.5, lattice, rng.uniform(-3.0, 3.0, n))
+
+
+def _unblocked(x, y) -> np.ndarray:
+    return HK.rule(np.asarray(x, dtype=float)[:, None], y)
+
+
+class TestBlockedFieldMatrix:
+    """field_matrix fills K a block of rows at a time, bit for bit the rule's matrix."""
+
+    # (blocks, extra rows): 1 row, one block less one row, one block, one
+    # block and one row, several blocks and a partial one
+    @given(seed=st.integers(0, 10_000), n_atoms=st.integers(1, 200),
+           rows=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_around_a_block(self, seed, n_atoms, rows):
+        rng = np.random.default_rng(seed)
+        blocks, extra = rows
+        x = _points(rng, blocks * (BLOCK_ENTRIES // n_atoms) + extra)
+        y = _points(rng, n_atoms)
+        K = HK.field_matrix(x, y)
+        assert K.shape == (x.size, n_atoms)
+        assert K.tobytes() == _unblocked(x, y).tobytes()
+
+    @given(seed=st.integers(0, 10_000), n_atoms=st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_any_number_of_atoms(self, seed, n_atoms):
+        rng = np.random.default_rng(seed)
+        per_block = max(1, BLOCK_ENTRIES // n_atoms)
+        x = _points(rng, int(rng.integers(1, 3 * per_block + 2)))
+        y = _points(rng, n_atoms)
+        assert HK.field_matrix(x, y).tobytes() == _unblocked(x, y).tobytes()
+
+    @given(seed=st.integers(0, 10_000), cells=st.integers(1, 400))
+    @settings(max_examples=30, deadline=None)
+    def test_edges_by_centres(self, seed, cells):
+        rng = np.random.default_rng(seed)
+        half = float(rng.uniform(1.0, 12.0))
+        mu = GridMeasure(-half, half, np.full(cells, 1.0 / cells))
+        K = HK.field_matrix(mu.edges, mu.centers)
+        assert K.shape == (cells + 1, cells)
+        assert K.tobytes() == _unblocked(mu.edges, mu.centers).tobytes()
+
+    @given(seed=st.integers(0, 10_000), cells=st.integers(1, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_in_place_cutoff(self, seed, cells):
+        """The solver's in-place row scaling equals the product it replaced."""
+        rng = np.random.default_rng(seed)
+        half = float(rng.uniform(1.0, 12.0))
+        c = GridMeasure(-half, half, np.full(cells, 1.0 / cells)).centers
+        ball = SupportBall(half)
+        cut = ball_cutoff(c, ball, half / 10.0)
+        K = HK.field_matrix(c, c)
+        product = cut[:, None] * K
+        K *= cut[:, None]
+        assert K.tobytes() == product.tobytes()
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocated during fn(), as tracemalloc sees them."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestDriftMatrixMemory:
+    """A grid run holds one n x n drift matrix, plus a block-sized temporary."""
+
+    CELLS = 1600
+    LIMIT = 1.1 * CELLS ** 2 * 8
+
+    def test_field_matrix_peak(self):
+        x = np.linspace(-10.0, 10.0, self.CELLS)
+        assert _traced_peak(lambda: HK.field_matrix(x, x)) <= self.LIMIT
+
+    def test_grid_run_peak(self):
+        spec = ScenarioSpec.builtin("hk_free").apply_overrides(cells=self.CELLS, t_end=0.01)
+        assert _traced_peak(lambda: run_hk(spec)) <= self.LIMIT
