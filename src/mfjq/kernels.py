@@ -49,6 +49,10 @@ class InteractionKernel:
     def field_matrix(self, x_eval: np.ndarray, atoms_x: np.ndarray) -> np.ndarray:
         """Dense rule matrix K with field = K @ weights (positions fixed).
 
+        No run builds it: grid runs apply :meth:`grid_stencil`.  It is the
+        dense reference the tests check the stencil against, and the kernel
+        matrix the benchmark's set-up probe builds.
+
         Built a block of rows at a time, so the rule's temporaries stay at
         most BLOCK_ENTRIES wide however large K is; every entry is the rule
         of the same two numbers, so K is bit-identical to the unblocked rule.
@@ -59,6 +63,20 @@ class InteractionKernel:
         for i in range(0, x_eval.size, rows):
             out[i:i + rows] = self.rule(x_eval[i:i + rows, None], atoms_x)
         return out
+
+    def grid_stencil(self, dx: float, n: int) -> np.ndarray:
+        """Taps k_m = rule(0, m dx) for m = -(n-1) .. n-1, zero ends trimmed.
+
+        Assumes the rule depends on y - x only, as HK's does; then the field
+        of cell masses m_j on a uniform grid of n cells with spacing dx is
+        v_i = sum_j k_{j-i} m_j.  The taps have odd length 2M + 1, with k_0
+        at index M; an odd rule gives taps that are exactly odd, since
+        (-m) dx = -(m dx) in floating point.
+        """
+        k = self.rule(0.0, np.arange(1 - n, n) * dx)
+        nz = k.nonzero()[0]
+        M = int(np.abs(nz - (n - 1)).max()) if nz.size else 0
+        return k[n - 1 - M:n + M]
 
 
 @dataclass(frozen=True)

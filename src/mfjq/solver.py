@@ -7,13 +7,15 @@ and its bump is held piecewise constant between switch events.
 
 Grid measures carry each cell's mass and the centroid of that mass.  The
 interaction drift is evaluated at the cell midpoints, v_i = sum_j K(x_j -
-x_i) m_j, and moves each cell's content rigidly; the parts are re-binned with
-their own centroids.  Mass and positivity are exact, and since
-sum_i m_i v_i = 0 for an odd kernel the first moment is conserved to
-roundoff, so an isolated cluster keeps its barycenter.  The control field is
-evaluated at the cell edges and upwinded at the faces (monotone, with the
-density's growth bounded by the discrete divergence).  Particle measures
-advance along characteristics with RK4.
+x_i) m_j; on the uniform grid this is a correlation of the masses with the
+kernel's taps k_m = K(m dx) (:func:`stencil_velocity`), a band as wide as the
+kernel's reach, so no n x n matrix is built.  The drift moves each cell's
+content rigidly; the parts are re-binned with their own centroids.  Mass and
+positivity are exact, and since sum_i m_i v_i = 0 for an odd kernel the first
+moment is conserved to roundoff, so an isolated cluster keeps its barycenter.
+The control field is evaluated at the cell edges and upwinded at the faces
+(monotone, with the density's growth bounded by the discrete divergence).
+Particle measures advance along characteristics with RK4.
 """
 from __future__ import annotations
 
@@ -175,19 +177,30 @@ def _upwind_substep(mass: np.ndarray, offset: np.ndarray, v_edges: np.ndarray,
 CFL_MAX = 0.9  # a sub-step of step_grid moves mass at most this many cells
 
 
+def stencil_velocity(mass: np.ndarray, taps: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """The drift v_i = cut_i * sum_j taps[M + j - i] mass_j, M = taps.size // 2.
+
+    ``taps`` come from :meth:`InteractionKernel.grid_stencil`; the band may be
+    wider than the grid.  The work is O(n_cells * taps.size).
+    """
+    M = taps.size // 2
+    return cut * np.convolve(mass, taps[::-1])[M:M + mass.size]
+
+
 def step_grid(mu: GridMeasure, field: np.ndarray, dt: float, *,
-              drift: Optional[np.ndarray] = None,
+              drift: Optional[tuple[np.ndarray, np.ndarray]] = None,
               drift_velocity: Optional[np.ndarray] = None,
               perf: Optional[dict] = None) -> GridMeasure:
     """One finite-volume step; sub-divides internally to honor the CFL bound.
 
     ``field`` holds the velocity at the n_cells + 1 cell edges; its flux is
-    upwinded at the faces.  ``drift`` is an optional (n_cells, n_cells)
-    matrix K: cell i moves with velocity (K @ cell_mass)_i, re-evaluated
-    every sub-step, and its content is shifted rigidly.  When K is
-    antisymmetric (an odd kernel sampled at the cell midpoints) the drift
-    conserves ``barycenter(mu)`` to roundoff.  ``drift_velocity`` is
-    K @ mu.cell_mass when the caller has it already.  The sub-steps taken are
+    upwinded at the faces.  ``drift`` is an optional stencil ``(taps, cut)``:
+    odd-length taps and a cutoff per cell, so that cell i moves with velocity
+    ``stencil_velocity(cell_mass, taps, cut)[i]``, re-evaluated every
+    sub-step, and its content is shifted rigidly.  When the taps are odd (an
+    odd kernel) the drift conserves ``barycenter(mu)`` to roundoff while the
+    mass lies where the cutoff is 1.  ``drift_velocity`` is that velocity for
+    mu.cell_mass when the caller has it already.  The sub-steps taken are
     added to ``perf["cfl_substeps"]`` when ``perf`` is given.
     """
     v_edges = np.asarray(field, dtype=float)
@@ -196,7 +209,12 @@ def step_grid(mu: GridMeasure, field: np.ndarray, dt: float, *,
     mass, offset = mu.cell_mass, mu.offset
     vmax = float(np.abs(v_edges).max())
     if drift is not None:
-        w = drift @ mass if drift_velocity is None else drift_velocity
+        taps, cut = (np.asarray(a, dtype=float) for a in drift)
+        if taps.ndim != 1 or taps.size % 2 == 0:
+            raise ValueError("drift taps must be a 1-D array of odd length")
+        if cut.shape != (mu.n_cells,):
+            raise ValueError("drift cutoff must hold one value per cell")
+        w = stencil_velocity(mass, taps, cut) if drift_velocity is None else drift_velocity
         vmax = max(vmax, float(np.abs(w).max()))
     n_sub = max(1, math.ceil(vmax * dt / (CFL_MAX * mu.dx))) if vmax > 0 else 1
     if perf is not None:
@@ -205,7 +223,7 @@ def step_grid(mu: GridMeasure, field: np.ndarray, dt: float, *,
     for j in range(n_sub):
         if drift is not None:
             if j:
-                w = drift @ mass
+                w = stencil_velocity(mass, taps, cut)
             mass, offset = _shift_cells(mass, offset, (h / mu.dx) * w)
         if v_edges.any():
             mass, offset = _upwind_substep(mass, offset, v_edges, h, mu.dx)
@@ -268,15 +286,14 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     mu = mu0
     taper = ball.radius / 10.0
     f = dynamics.f_kernel
-    Kf = None
+    drift = None
     if grid:
         edges = mu.edges
         cut_e = ball_cutoff(edges, ball, taper)
         if f is not None:
             # the drift moves cell contents with velocities at the midpoints
-            c = mu.centers
-            Kf = f.field_matrix(c, c)
-            Kf *= ball_cutoff(c, ball, taper)[:, None]
+            drift = (f.grid_stencil(mu.dx, mu.n_cells),
+                     ball_cutoff(mu.centers, ball, taper))
 
     state = dynamics.controller
     log = TrajectoryLog(dt=config.dt, dx=mu.dx if grid else 0.0)
@@ -303,8 +320,8 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
         elif dynamics.prescribed_control is not None:
             u_fn = dynamics.prescribed_control(t)
 
-        if grid:  # the drift goes through Kf, so the edge field is the control alone
-            w_drift = None if Kf is None else Kf @ aw
+        if grid:  # the drift has its own stencil; the edge field is the control alone
+            w_drift = None if drift is None else stencil_velocity(aw, *drift)
             if u_fn is None:
                 v_e = np.zeros(edges.size)
             else:
@@ -335,7 +352,7 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
         if k == n_steps:
             break
         if grid:
-            mu = step_grid(mu, v_e, config.dt, drift=Kf, drift_velocity=w_drift,
+            mu = step_grid(mu, v_e, config.dt, drift=drift, drift_velocity=w_drift,
                            perf=log.perf)
         else:
             mu = step_particles(mu, velocity, config.dt)

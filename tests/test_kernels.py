@@ -184,7 +184,7 @@ class TestBlockedFieldMatrix:
     @given(seed=st.integers(0, 10_000), cells=st.integers(1, 300))
     @settings(max_examples=30, deadline=None)
     def test_in_place_cutoff(self, seed, cells):
-        """The solver's in-place row scaling equals the product it replaced."""
+        """Scaling K's rows in place equals the cutoff product K's callers form."""
         rng = np.random.default_rng(seed)
         half = float(rng.uniform(1.0, 12.0))
         c = GridMeasure(-half, half, np.full(cells, 1.0 / cells)).centers
@@ -211,7 +211,7 @@ def _traced_peak(fn) -> int:
 
 
 class TestDriftMatrixMemory:
-    """A grid run holds one n x n drift matrix, plus a block-sized temporary."""
+    """Building K costs about K's own bytes; a grid run builds no K at all."""
 
     CELLS = 1600
     LIMIT = 1.1 * CELLS ** 2 * 8
@@ -221,5 +221,28 @@ class TestDriftMatrixMemory:
         assert _traced_peak(lambda: HK.field_matrix(x, x)) <= self.LIMIT
 
     def test_grid_run_peak(self):
+        spec = ScenarioSpec.builtin("hk_free").apply_overrides(cells=self.CELLS, t_end=0.01)
+        assert _traced_peak(lambda: run_hk(spec)) <= self.LIMIT
+
+
+class TestGridRunMemory:
+    """A grid run's memory grows as O(n): the drift is a stencil, not a matrix.
+
+    The peak is a few dozen float64 arrays of about n entries: the measure's
+    mass, offsets, edges and centres, the two cutoffs and the taps (at most
+    2n - 1) stay live, about 8n; the rule's temporaries on the 2n - 1 tap
+    offsets (about 12n) come and go before the first step; one step's
+    temporaries in ``_shift_cells`` (a dozen per-cell arrays, three of them
+    2n long) are about 13n.  So 32 n float64 bound it with room, while a
+    dense drift matrix is 6400 n and even its band alone, n x 559 taps, is
+    559 n.
+    """
+
+    CELLS = 6400
+    LIMIT = 32 * CELLS * 8
+
+    def test_grid_run_peak_is_linear(self):
+        # a small run first, so that first-call set-up is not counted
+        run_hk(ScenarioSpec.builtin("hk_free").apply_overrides(cells=64, t_end=0.01))
         spec = ScenarioSpec.builtin("hk_free").apply_overrides(cells=self.CELLS, t_end=0.01)
         assert _traced_peak(lambda: run_hk(spec)) <= self.LIMIT

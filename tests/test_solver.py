@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfjq.controller import ControllerState
-from mfjq.kernels import HKKernel, constant_kernel
+from mfjq.kernels import HKKernel, ball_cutoff, constant_kernel
 from mfjq.lyapunov import variance_about
 from mfjq.measures import (GridMeasure, ParticleMeasure, SupportBall,
                            barycenter, total_mass, wasserstein_1d)
 from mfjq.scenarios import ScenarioSpec, make_initial_measure
 from mfjq.solver import (CSV_COLUMNS, Dynamics, SolverConfig,
                          SupportEscapeError, TrajectoryLog, check_linf_bound,
-                         evolve, stability_probe, step_grid, step_particles)
+                         evolve, stability_probe, stencil_velocity, step_grid,
+                         step_particles)
 from mfjq.verify import audit_constraints_log
 
 
@@ -57,18 +58,76 @@ class TestStepGrid:
         with pytest.raises(ValueError):
             step_grid(mu, np.zeros(3), 0.1)
 
+    @pytest.mark.parametrize("taps, cut_cells", [
+        pytest.param(np.zeros((3, 3)), 200, id="taps-not-1d"),
+        pytest.param(np.zeros(4), 200, id="taps-even-length"),
+        pytest.param(np.zeros(0), 200, id="taps-empty"),
+        pytest.param(np.zeros(3), 199, id="cutoff-short"),
+        pytest.param(np.zeros(3), 201, id="cutoff-long"),
+    ])
+    def test_bad_drift_stencil(self, taps, cut_cells):
+        mu = grid_uniform(-1, 1)
+        with pytest.raises(ValueError):
+            step_grid(mu, np.zeros(mu.n_cells + 1), 0.1,
+                      drift=(taps, np.ones(cut_cells)))
+
+
+HK = HKKernel(0.05).interaction()
+
 
 def hk_drift(mu):
-    """The HK interaction sampled at the cell midpoints (antisymmetric)."""
-    c = mu.centers
-    return HKKernel(0.05).interaction().field_matrix(c, c)
+    """The HK stencil on mu's grid, with no cutoff (odd taps)."""
+    return HK.grid_stencil(mu.dx, mu.n_cells), np.ones(mu.n_cells)
+
+
+class TestStencilVelocity:
+    """The banded drift against the dense matrix it replaces."""
+
+    @given(seed=st.integers(0, 10_000), cells=st.integers(1, 3000),
+           eps=st.sampled_from([0.05, 0.2, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_matrix(self, seed, cells, eps):
+        # half-widths from 0.5 put the whole grid inside one band; up to
+        # 12 make the band a few cells wide.  The two differ where c_j - c_i
+        # rounds differently from (j - i) dx, which the ramp amplifies by
+        # 1 / eps; the masses are spread so that no single cell on the ramp
+        # carries a large share of that roundoff
+        rng = np.random.default_rng(seed)
+        half = float(rng.uniform(0.5, 12.0))
+        m = rng.random(cells) * (rng.random(cells) < 0.7)
+        mu = GridMeasure(-half, half, m / m.sum() if m.any() else np.full(cells, 1 / cells))
+        c = mu.centers
+        kern = HKKernel(eps).interaction()
+        cut = ball_cutoff(c, SupportBall(half), half / 10.0)
+        v = stencil_velocity(mu.cell_mass, kern.grid_stencil(mu.dx, cells), cut)
+        dense = cut * (kern.field_matrix(c, c) @ mu.cell_mass)
+        assert np.abs(v - dense).max() <= 1e-14
+
+    @given(dx=st.floats(1e-3, 2.0), cells=st.integers(1, 3000),
+           eps=st.floats(1e-3, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_taps_exactly_odd(self, dx, cells, eps):
+        k = HKKernel(eps).interaction().grid_stencil(dx, cells)
+        assert k.ndim == 1 and k.size % 2 == 1 and k.size <= 2 * cells - 1
+        assert (k[::-1] == -k).all()
+        assert k.size == 1 or (k[0] != 0.0 and k[-1] != 0.0)
+
+    @given(seed=st.integers(0, 10_000), cells=st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_first_moment_at_roundoff(self, seed, cells):
+        rng = np.random.default_rng(seed)
+        half = float(rng.uniform(0.5, 12.0))
+        m = rng.random(cells)
+        m /= m.sum()
+        v = stencil_velocity(m, HK.grid_stencil(2.0 * half / cells, cells), np.ones(cells))
+        assert abs(np.dot(m, v)) <= 1e-15
 
 
 class TestDriftTransport:
     def test_zero_drift_is_identity(self):
         mu = grid_uniform(-1, 1)
         out = step_grid(mu, np.zeros(mu.n_cells + 1), 0.1,
-                        drift=np.zeros((mu.n_cells, mu.n_cells)))
+                        drift=(np.zeros(3), np.ones(mu.n_cells)))
         np.testing.assert_array_equal(out.cell_mass, mu.cell_mass)
         np.testing.assert_array_equal(out.offset, mu.offset)
 
@@ -87,10 +146,10 @@ class TestDriftTransport:
         m[:25] = 0.0
         m[-25:] = 0.0
         mu = GridMeasure(-3.0, 3.0, m / m.sum())
-        K = hk_drift(mu)
+        drift = hk_drift(mu)
         out = mu
         for _ in range(5):
-            out = step_grid(out, np.zeros(mu.n_cells + 1), dt, drift=K)
+            out = step_grid(out, np.zeros(mu.n_cells + 1), dt, drift=drift)
         assert total_mass(out) == pytest.approx(1.0, abs=1e-12)
         assert out.cell_mass.min() >= 0.0
         assert np.all(np.abs(out.offset) <= 0.5)
