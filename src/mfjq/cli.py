@@ -51,13 +51,16 @@ def _load_spec(args) -> ScenarioSpec:
                                 kappa=args.kappa).validate()
 
 
+def _clear_outputs(out: Path) -> None:
+    """Remove the files an earlier run wrote into ``out``, and no other file."""
+    for name in ("trajectory.csv", "meta.json", "violation.txt"):
+        (out / name).unlink(missing_ok=True)
+    for path in (out / "snapshots").glob("snapshot_t*.csv"):
+        path.unlink()
+
+
 def _write_outputs(out: Path, spec: ScenarioSpec, log, extra: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     log.to_csv(out / "trajectory.csv")
-    snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
-    for t, mu in log.snapshots:
-        mu.to_csv(snap_dir / f"snapshot_t{t:.6g}.csv")
     meta = dict(version=__version__, seed=spec.seed, spec=spec.to_dict(),
                 n_switches=log.n_switches, **extra, perf=log.perf, switches=log.switches)
     with open(out / "meta.json", "w") as fh:
@@ -70,27 +73,39 @@ def cmd_run(args) -> int:
     except (ValueError, KeyError, TypeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    snap_dir = args.out / "snapshots"
+    try:
+        _clear_outputs(args.out)
+        snap_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
+        return 2
+
+    def write_snapshot(t, mu):
+        mu.to_csv(snap_dir / f"snapshot_t{t:.6g}.csv")
+
     try:
         if spec.concentration is not None:
-            log, report = run_concentration_demo(spec)
+            log, report = run_concentration_demo(spec, on_snapshot=write_snapshot)
             extra = dict(max_omega_mass=float(report["omega_mass"].max()),
                          final_window_mass=float(report["window_mass"][-1]))
         else:
-            log, report = run_hk(spec)
+            log, report = run_hk(spec, on_snapshot=write_snapshot)
             # a controlled run's meta.json lists consensus_time before n_clusters
             timing = ({} if spec.controller is None
                       else dict(consensus_time=log.meta["consensus_time"]))
             extra = dict(consensus=report.consensus, **timing,
                          n_clusters=report.n_clusters)
     except SupportEscapeError as exc:
-        args.out.mkdir(parents=True, exist_ok=True)
         report_path = args.out / "violation.txt"
         report_path.write_text(f"{exc}\n")
         print(f"invariant violation: {exc} (see {report_path})", file=sys.stderr)
         return 3
     _write_outputs(args.out, spec, log, extra)
+    # the snapshot files of earlier runs were removed above
+    n_snapshots = sum(1 for _ in snap_dir.glob("snapshot_t*.csv"))
     print(f"wrote {args.out}/trajectory.csv ({len(log.rows)} rows, "
-          f"{len(log.snapshots)} snapshots)")
+          f"{n_snapshots} snapshots)")
     return 0
 
 

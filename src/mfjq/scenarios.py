@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, asdict
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -265,12 +265,14 @@ def _controller_state(spec: ScenarioSpec) -> ControllerState:
                            kappa=cfg["kappa"], eta_floor=2.0 * dx)
 
 
-def run_hk(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]:
-    """Bounded-confidence evolution; reports the surviving opinion clusters.
+def run_hk(spec: ScenarioSpec, *, on_snapshot: Optional[Callable] = None
+           ) -> tuple[TrajectoryLog, ClusterReport]:
+    """Bounded-confidence evolution; reports the opinion clusters at t_end.
 
     With ``spec.controller`` set, the sparse feedback acts through a constant
     control kernel, and the log's meta records ``consensus_time``, the first
-    time V drops below 1% of V(0).
+    time V drops below 1% of V(0).  ``on_snapshot`` is passed to
+    :func:`evolve`.
     """
     mu0 = make_initial_measure(spec)
     V = variance_about(moment(mu0, lambda x: x), spec.radius)
@@ -281,12 +283,11 @@ def run_hk(spec: ScenarioSpec) -> tuple[TrajectoryLog, ClusterReport]:
         dyn = Dynamics(f_kernel=f, g_kernels=(constant_kernel(1.0),),
                        controller=_controller_state(spec))
     config = SolverConfig(dt=spec.dt, t_end=spec.t_end, snapshot_every=spec.snapshot_every)
-    log = evolve(mu0, dyn, config, SupportBall(spec.radius), V)
+    log = evolve(mu0, dyn, config, SupportBall(spec.radius), V, on_snapshot=on_snapshot)
     if spec.controller is not None:
         below = np.flatnonzero(log.V < 0.01 * log.V[0])
         log.meta["consensus_time"] = float(log.t[below[0]]) if below.size else None
-    final = log.snapshots[-1][1] if log.snapshots else mu0
-    report = detect_clusters(final, gap=1.0 + spec.epsilon,
+    report = detect_clusters(log.final, gap=1.0 + spec.epsilon,
                              floor=spec.cluster_mass_floor)
     return log, report
 
@@ -320,15 +321,18 @@ def concentration_gain(c: float, eps: float):
     return u
 
 
-def run_concentration_demo(spec: ScenarioSpec) -> tuple[TrajectoryLog, dict]:
+def run_concentration_demo(spec: ScenarioSpec, *, on_snapshot: Optional[Callable] = None
+                           ) -> tuple[TrajectoryLog, dict]:
     """Drive a uniform density on [0, 1] toward chi_[0,1-c] + c*delta_{1-c}.
 
     The gain acts only where at most mass c of the crowd sits; shrinking the
     ramp width along the schedule concentrates that mass at 1 - c.  The spec's
     ``concentration`` dict gives c, ``n_particles`` (default 5000) and
     ``n_intervals`` of the schedule (default 20); the run steps by ``dt`` to
-    ``t_end``.  The report is read off the snapshots, taken every
-    ``snapshot_every`` from t = 0.
+    ``t_end``.  The report's series are computed from each snapshot as it is
+    taken, every ``snapshot_every`` from t = 0, and its ``final`` is the last
+    snapshot.  The log keeps no snapshot; each one is also passed to
+    ``on_snapshot(t, mu)`` when that is given.
     """
     conc = spec.concentration
     c = conc["c"]
@@ -351,11 +355,12 @@ def run_concentration_demo(spec: ScenarioSpec) -> tuple[TrajectoryLog, dict]:
                    prescribed_control=prescribed)
     config = SolverConfig(dt=spec.dt, t_end=spec.t_end,
                           snapshot_every=spec.snapshot_every, log_every=10)
-    log = evolve(mu0, dyn, config, SupportBall(2.0), V)
-
     snap_t, omega_mass, window_mass, left_density = [], [], [], []
     target = 1.0 - c
-    for t, mu in log.snapshots:
+    last = mu0
+
+    def record(t, mu):
+        nonlocal last
         x = mu.x
         eps = eps_at(t)
         snap_t.append(t)
@@ -364,8 +369,12 @@ def run_concentration_demo(spec: ScenarioSpec) -> tuple[TrajectoryLog, dict]:
             mu.weights[(x >= target - 0.02) & (x <= target + 0.02)].sum()))
         sel = (x >= 0.0) & (x <= target - 0.02)
         left_density.append(float(mu.weights[sel].sum() / (target - 0.02)))
+        last = mu
+        if on_snapshot is not None:
+            on_snapshot(t, mu)
+
+    log = evolve(mu0, dyn, config, SupportBall(2.0), V, on_snapshot=record)
     report = dict(t=np.array(snap_t), omega_mass=np.array(omega_mass),
                   window_mass=np.array(window_mass),
-                  left_density=np.array(left_density), c=c,
-                  final=log.snapshots[-1][1] if log.snapshots else mu0)
+                  left_density=np.array(left_density), c=c, final=last)
     return log, report

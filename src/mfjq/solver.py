@@ -70,7 +70,8 @@ class TrajectoryLog:
     div_sup: list = field(default_factory=list)
     switches: list = field(default_factory=list)  # one dict per controller switch
     ceiling_gaps: list = field(default_factory=list)  # best - U per strict search
-    snapshots: list = field(default_factory=list)  # (t, measure)
+    snapshots: list = field(default_factory=list)  # (t, measure), unless streamed
+    final: Optional[Measure] = None  # the measure at t_end
     meta: dict = field(default_factory=dict)
     perf: dict = field(default_factory=lambda: dict.fromkeys(PERF_COUNTS, 0)
                        | {"max_best_over_ceiling": None})
@@ -275,8 +276,14 @@ def _log_meta(log: TrajectoryLog, dynamics: Dynamics, config: SolverConfig,
 
 
 def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
-           ball: SupportBall, V: MomentFunctional) -> TrajectoryLog:
+           ball: SupportBall, V: MomentFunctional, *,
+           on_snapshot: Optional[Callable[[float, Measure], None]] = None) -> TrajectoryLog:
     """Evolve mu0 to t_end, logging diagnostics every ``log_every`` steps.
+
+    A snapshot is taken every ``snapshot_every`` from t = 0.  Each one goes to
+    ``on_snapshot(t, mu)`` as it is taken when that is given, so the log keeps
+    none of them; otherwise it is appended to ``log.snapshots``.
+    ``log.final`` is the measure at t_end either way.
 
     Fields are tapered to zero over the outer tenth of the ball.  Raises
     :class:`SupportEscapeError` if mass leaves B(0, R) beyond one cell width
@@ -298,6 +305,9 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     state = dynamics.controller
     log = TrajectoryLog(dt=config.dt, dx=mu.dx if grid else 0.0)
     _log_meta(log, dynamics, config, ball)
+    if on_snapshot is None:
+        def on_snapshot(t, snap):
+            log.snapshots.append((t, snap))
     n_steps = int(round(config.t_end / config.dt))
     last_snap = -math.inf
     t = 0.0
@@ -347,9 +357,10 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
                 log.div_sup.append(float(div / mu.dx))
         every = config.snapshot_every
         if every is not None and t - last_snap >= every - 1e-12:
-            log.snapshots.append((t, mu))
+            on_snapshot(t, mu)
             last_snap = t
         if k == n_steps:
+            log.final = mu
             break
         if grid:
             mu = step_grid(mu, v_e, config.dt, drift=drift, drift_velocity=w_drift,

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,63 @@ class TestRun:
         out = tmp_path / "o"
         assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert (out / "violation.txt").exists()
+
+    def test_rerun_replaces_previous_outputs(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run = ["run", "--scenario", "hk_free", "--cells", "100", "--out", str(out)]
+        assert run_cli(run + ["--t-end", "20"]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        (out / "snapshots" / "keep.csv").write_text("kept\n")
+        (out / "violation.txt").write_text("stale\n")
+        assert run_cli(run + ["--t-end", "5"]) == 0
+        snaps = sorted(p.name for p in (out / "snapshots").glob("snapshot_t*.csv"))
+        assert snaps == ["snapshot_t0.csv", "snapshot_t5.csv"]
+        assert "2 snapshots" in capsys.readouterr().out
+        assert not (out / "violation.txt").exists()
+        assert json.loads((out / "meta.json").read_text())["spec"]["t_end"] == 5.0
+        # a run that escapes at t = 0 leaves its report and nothing of the run before
+        spec = ScenarioSpec(name="escape", seed=1, domain=(-1.0, 11.0),
+                            n_cells=100, radius=1.0, t_end=2.0, dt=0.01)
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps(spec.to_dict()))
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.rglob("*") if p.is_file()) == [
+            "keep.csv", "notes.txt", "violation.txt"]
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert run_cli(["run", "--scenario", "hk_free", "--t-end", "0.1",
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err, err
+
+    def test_snapshots_do_not_accumulate_in_memory(self, tmp_path):
+        """Each snapshot is written as it is taken, so the 48 snapshots of the
+        shipped demo peak no higher than 5 do: the gap stays below 4 copies of
+        the 5,000 positions, where keeping them all would add 43."""
+        def run(every, name):
+            d = ScenarioSpec.builtin("concentration").to_dict()
+            d["snapshot_every"] = every
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(d))
+            return run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / name)])
+
+        assert run(0.1, "warm-up") == 0
+        peaks = {}
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for every in (0.0095, 0.1):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert run(every, f"every{every}") == 0
+                peaks[every] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(list((tmp_path / "every0.0095" / "snapshots").iterdir())) == 48
+        assert abs(peaks[0.0095] - peaks[0.1]) < 4 * 5000 * 8, peaks
 
     def test_concentration_scenario(self, tmp_path):
         spec = ScenarioSpec.builtin("concentration")

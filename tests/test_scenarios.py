@@ -141,6 +141,18 @@ class TestShortRuns:
         assert rep.consensus
         assert log.V[-1] < 0.01 * log.V[0]
 
+    def test_cluster_report_is_of_the_measure_at_t_end(self):
+        # the free run shows one cluster at t = 0 and t = 10 and three at t = 15
+        def clusters(t_end, snapshot_every):
+            d = ScenarioSpec.builtin("hk_free").to_dict()
+            d.update(t_end=t_end, snapshot_every=snapshot_every)
+            return run_hk(ScenarioSpec.from_dict(d).validate())[1]
+
+        at_15 = clusters(15.0, 15.0)
+        assert at_15.n_clusters == 3 and not at_15.consensus
+        assert clusters(15.0, None) == at_15
+        assert clusters(14.99, 5.0).n_clusters == 3
+
     def test_controlled_short_run_decreases_V(self):
         spec = ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=5.0)
         log, _ = run_hk(spec)

@@ -229,6 +229,27 @@ class TestEvolve:
         for _, snap in log.snapshots:
             assert abs(barycenter(snap) - barycenter(mu)) <= 1e-12
 
+    def test_on_snapshot_streams_snapshots(self):
+        mu = grid_uniform(-2, 2, n=80)
+        dyn = Dynamics(f_kernel=HKKernel(0.05).interaction())
+        ball, V = SupportBall(6.0), variance_about(0.0, 6.0)
+        cfg = SolverConfig(dt=0.02, t_end=0.5, snapshot_every=0.2)
+        kept = evolve(mu, dyn, cfg, ball, V)
+        streamed = []
+        log = evolve(mu, dyn, cfg, ball, V,
+                     on_snapshot=lambda t, snap: streamed.append((t, snap)))
+        assert log.snapshots == []
+        assert [t for t, _ in streamed] == [t for t, _ in kept.snapshots]
+        assert [t for t, _ in streamed] == pytest.approx([0.0, 0.2, 0.4])
+        for (_, a), (_, b) in zip(streamed, kept.snapshots):
+            np.testing.assert_array_equal(a.cell_mass, b.cell_mass)
+        # t_end = 0.5 is no snapshot time, yet log.final is the measure there
+        at_end = evolve(mu, dyn, SolverConfig(dt=0.02, t_end=0.5, snapshot_every=0.5),
+                        ball, V).snapshots[-1]
+        assert at_end[0] == pytest.approx(0.5)
+        for final in (log.final, kept.final):
+            np.testing.assert_array_equal(final.cell_mass, at_end[1].cell_mass)
+
     def test_mass_and_positivity_along_run(self):
         mu = grid_uniform(-2, 2, n=160)
         dyn = Dynamics(f_kernel=HKKernel(0.05).interaction())
