@@ -22,6 +22,7 @@ from .controller import ControllerState
 from .kernels import constant_kernel, make_kernel
 from .lyapunov import variance_about
 from .measures import GridMeasure, ParticleMeasure, SupportBall, moment
+from .rng import default_rng
 from .solver import Dynamics, SolverConfig, TrajectoryLog, evolve
 
 BUILTIN_SCENARIOS = ("hk_free", "hk_ctrl_h02", "hk_ctrl_h05", "hk_ctrl_h09",
@@ -243,12 +244,16 @@ def _interval_cells(spec: ScenarioSpec) -> np.ndarray:
 
 
 def make_initial_measure(spec: ScenarioSpec) -> GridMeasure:
-    """Uniform-random cell masses on the initial interval, fixed by the seed."""
+    """Uniform-random cell masses on the initial interval, fixed by the seed.
+
+    The draws are those of numpy's ``default_rng(spec.seed).random(n_cells)``,
+    reproduced by :mod:`mfjq.rng`.
+    """
     x_min, x_max = spec.domain
     if spec.initial_density is not None:
         return GridMeasure(x_min, x_max, np.asarray(spec.initial_density))
     inside = _interval_cells(spec)
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
     mass = np.where(inside, rng.random(spec.n_cells), 0.0)
     return GridMeasure(x_min, x_max, mass / mass.sum())
 

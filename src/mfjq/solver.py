@@ -66,7 +66,6 @@ PERF_COUNTS = ("cfl_substeps", "controller_queries", "strict_searches",
 class TrajectoryLog:
     dt: float
     dx: float
-    rows: list = field(default_factory=list)
     div_sup: list = field(default_factory=list)
     switches: list = field(default_factory=list)  # one dict per controller switch
     ceiling_gaps: list = field(default_factory=list)  # best - U per strict search
@@ -75,6 +74,10 @@ class TrajectoryLog:
     meta: dict = field(default_factory=dict)
     perf: dict = field(default_factory=lambda: dict.fromkeys(PERF_COUNTS, 0)
                        | {"max_best_over_ceiling": None})
+    # the logged steps fill the first _n rows; the buffer doubles when full
+    _buf: np.ndarray = field(init=False, repr=False,
+                             default_factory=lambda: np.empty((64, len(CSV_COLUMNS))))
+    _n: int = field(init=False, repr=False, default=0)
 
     def append(self, t, V, slope, ctrl, mass, sup, lo, hi):
         a = b = eta = float("nan")
@@ -82,7 +85,15 @@ class TrajectoryLog:
         if ctrl is not None:
             a, b, eta = ctrl.params.a, ctrl.params.b, ctrl.params.eta
             sign = ctrl.sign
-        self.rows.append((t, V, slope, a, b, eta, sign, mass, sup, lo, hi))
+        if self._n == len(self._buf):
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
+        self._buf[self._n] = (t, V, slope, a, b, eta, sign, mass, sup, lo, hi)
+        self._n += 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The logged steps, one float row of CSV_COLUMNS each (a view)."""
+        return self._buf[:self._n]
 
     def record_decision(self, t: float, decision: ControlDecision) -> None:
         """Count a controller query by how it was settled; log its switch."""
@@ -105,8 +116,7 @@ class TrajectoryLog:
             perf["settled_by_ceiling"] += 1
 
     def column(self, name: str) -> np.ndarray:
-        i = CSV_COLUMNS.index(name)
-        return np.array([r[i] for r in self.rows])
+        return self.rows[:, CSV_COLUMNS.index(name)]
 
     @property
     def t(self) -> np.ndarray:

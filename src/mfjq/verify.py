@@ -3,7 +3,9 @@
 Each suite returns a list of (check name, passed, detail) triples.  The
 suites audit runtime invariants (constraints on the emitted controls, mass
 conservation and positivity, closed-form vs finite-difference rates,
-dissipativity of the uncontrolled drift); `all` aggregates them.
+dissipativity of the uncontrolled drift); `all` aggregates them.  The
+randomized suites draw from :mod:`mfjq.rng` with fixed seeds, numpy's
+``default_rng`` stream for those seeds.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .kernels import HKKernel, nonlocal_field
 from .lyapunov import (lie_derivative, lie_derivative_fd_oracle, value,
                        variance_about)
 from .measures import ParticleMeasure, barycenter
+from .rng import default_rng
 from .scenarios import ScenarioSpec, run_hk
 
 SUITES = ("constraints", "conservation", "oracle", "dissipativity", "all")
@@ -33,7 +36,7 @@ def _random_particles(rng) -> ParticleMeasure:
 
 def suite_oracle() -> list:
     """Closed-form rate of the variance vs the finite-difference oracle."""
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     V = variance_about(0.0, radius=6.0)
     hk = HKKernel(0.05).interaction()
     worst = 0.0
@@ -45,7 +48,7 @@ def suite_oracle() -> list:
             a = rng.uniform(-5.0, 4.0)
             b = a + rng.uniform(0.0, 1.0)
             eta = rng.uniform(0.05, 0.5)
-            sgn = rng.choice([-1.0, 1.0])
+            sgn = (-1.0, 1.0)[rng.integers(0, 2)]
             field = (lambda x, a=a, b=b, eta=eta, sgn=sgn:
                      sgn * bump_1d(a, b, eta, x))
         exact = lie_derivative(V, field, mu)
@@ -59,7 +62,7 @@ def suite_oracle() -> list:
 
 def suite_dissipativity() -> list:
     """Non-positivity of the drift rate and the two-atom closed form."""
-    rng = np.random.default_rng(1)
+    rng = default_rng(1)
     hk = HKKernel(0.05)
     kern = hk.interaction()
     V = variance_about(0.0, radius=6.0)

@@ -1,12 +1,16 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfjq
 from mfjq import solver, verify
 from mfjq.controller import SlopeEvaluator
 from mfjq.cli import _build_parser, main
@@ -409,6 +413,24 @@ class TestVerify:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "nope"])
+
+
+def test_runs_load_no_numpy_random(tmp_path):
+    """The seeded draws come from mfjq.rng, so neither a verify nor a seeded
+    grid run imports numpy's random package or, through its `secrets`,
+    OpenSSL's hashlib."""
+    code = (
+        "import sys\n"
+        "from mfjq.cli import main\n"
+        "assert main(['verify', 'all']) == 0\n"
+        "assert main(['run', '--scenario', 'hk_ctrl_h05', '--t-end', '0.1',\n"
+        f"             '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mfjq.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
 def test_readme_commands_parse():

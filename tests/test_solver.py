@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,6 +314,26 @@ class TestTrajectoryLog:
         np.testing.assert_allclose(log.t, [0.0, 0.1])
         np.testing.assert_allclose(log.V, [3.0, 2.5])
         assert log.n_switches == 0
+
+    def test_rows_cost_at_most_two_float_rows_each(self):
+        """A logged step is kept as one float64 row in a buffer that at most
+        doubles: at most 2 x 11 x 8 B per row, where a tuple of Python floats
+        takes about 280 B."""
+        n = 5000
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log = TrajectoryLog(dt=0.1, dx=0.05)
+            for k in range(n):
+                log.append(0.1 * k, 1.0 / (k + 1), -0.5 * k, None, 1.0 + k * 1e-16,
+                           2.0 + k, -1.0 - k, 1.0 + k)
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(log.rows) == n and log.column("supp_hi")[-1] == n
+        assert grown <= 2 * len(CSV_COLUMNS) * 8 * n, grown / n
 
 
 class TestLinfBound:
