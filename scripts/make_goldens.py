@@ -16,9 +16,9 @@ import shutil
 import sys
 from pathlib import Path
 
-from mfjq.cli import main as cli_main
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+from mfjq.cli import main as cli_main  # noqa: E402
 from tests.test_golden import GOLDEN_DIR, RUNS, VERIFY_ALL  # noqa: E402
 
 

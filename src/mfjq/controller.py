@@ -100,8 +100,8 @@ class SlopeEvaluator:
 
     q(x) = v'(x) * g(x) is fixed at construction (measure and control field
     frozen); each candidate bump then costs O(log n_atoms).  The atoms of a
-    grid measure, its cell midpoints, are sorted already.  ``scored`` counts
-    the candidates signed_batch has evaluated.
+    grid measure, its cell centroids, are sorted already: each lies in its
+    own cell.  ``scored`` counts the candidates signed_batch has evaluated.
     """
 
     def __init__(self, mu: Measure, g_field: Callable, V: MomentFunctional):

@@ -1,9 +1,10 @@
 """Pairwise interaction kernels and the induced nonlocal velocity fields.
 
 A kernel is a pairwise rule (x, y) -> velocity; the field it induces on a
-measure is x -> integral of rule(x, y) d mu(y).  For weighted particle
-clouds this is a weighted sum; for grid measures it is midpoint quadrature
-over cells (one atom per cell).
+measure is x -> integral of rule(x, y) d mu(y), a weighted sum over the atoms
+of :func:`~mfjq.measures.as_atoms` (one per cell, at its centroid, on a grid).
+The grid drift uses :meth:`InteractionKernel.grid_stencil` on the uniform
+cell midpoints instead.
 """
 from __future__ import annotations
 

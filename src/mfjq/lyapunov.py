@@ -48,8 +48,16 @@ def value(V: MomentFunctional, mu: Measure) -> float:
 
 def lie_derivative(V: MomentFunctional, field: Callable, mu: Measure) -> float:
     """Closed-form rate of V along a frozen velocity field."""
-    x, w = as_atoms(mu)
-    return float(np.dot(np.asarray(V.v_prime(x)) * np.asarray(field(x)), w))
+    return moment(mu, lambda x: np.asarray(V.v_prime(x)) * np.asarray(field(x)))
+
+
+def rk4_step(x: np.ndarray, field: Callable, h) -> np.ndarray:
+    """One classical RK4 step of length h (a scalar or one per point)."""
+    k1 = np.asarray(field(x))
+    k2 = np.asarray(field(x + 0.5 * h * k1))
+    k3 = np.asarray(field(x + 0.5 * h * k2))
+    k4 = np.asarray(field(x + h * k3))
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rk4_flow(x: np.ndarray, field: Callable, tau) -> np.ndarray:
@@ -59,13 +67,8 @@ def _rk4_flow(x: np.ndarray, field: Callable, tau) -> np.ndarray:
     depends on that point alone, as ``InteractionKernel.field_at`` does, each
     atom's path depends only on its own start and flow time.
     """
-    h = tau / 4
     for _ in range(4):
-        k1 = np.asarray(field(x))
-        k2 = np.asarray(field(x + 0.5 * h * k1))
-        k3 = np.asarray(field(x + 0.5 * h * k2))
-        k4 = np.asarray(field(x + h * k3))
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(x, field, tau / 4)
     return x
 
 

@@ -7,9 +7,10 @@ Two representations are used throughout:
   by construction), each with the centroid of the mass inside its cell.
 * :class:`ParticleMeasure` -- a weighted empirical measure.
 
-On top of these we provide moments (midpoint quadrature on grids, weighted
-sums on particles), sup-norms and the 1D p-Wasserstein distance computed
-through quantile functions.
+:func:`as_atoms` says where a measure's mass sits: at each cell's centroid on
+a grid, at the particles otherwise.  Moments, the barycenter and the 1D
+p-Wasserstein distance (through quantile functions) are taken over those
+atoms; the sup-norm reads the piecewise-constant density.
 """
 from __future__ import annotations
 
@@ -39,9 +40,10 @@ class GridMeasure:
 
     ``cell_mass[i]`` is the mass in the cell [x_min + i*dx, x_min + (i+1)*dx].
     ``offset[i]`` is the centroid of that mass relative to the cell midpoint,
-    in units of dx, in [-1/2, 1/2]; it defaults to 0.  The density and the
-    midpoint quadrature ignore it; the grid transport carries it so that the
-    first moment sum(centroids * cell_mass) is known exactly.
+    in units of dx, in [-1/2, 1/2]; it defaults to 0.  The grid transport
+    carries it, and :func:`as_atoms` puts each cell's mass at its centroid,
+    so every moment is taken over the state the scheme holds.  The density
+    ignores it.
     """
 
     x_min: float
@@ -181,10 +183,11 @@ def total_mass(mu: Measure) -> float:
 def as_atoms(mu: Measure) -> tuple[np.ndarray, np.ndarray]:
     """1D atomization: (positions, weights), zero-mass atoms dropped.
 
-    Grid measures put one atom per cell at the midpoint (O(dx) in W_1).
+    A grid measure puts one atom per cell at the centroid of its mass.  The
+    centroids lie inside their cells, so they are sorted.
     """
     if isinstance(mu, GridMeasure):
-        x, w = mu.centers, mu.cell_mass
+        x, w = mu.centroids, mu.cell_mass
     else:
         x, w = mu.x, mu.weights
     keep = w > 0
@@ -192,21 +195,14 @@ def as_atoms(mu: Measure) -> tuple[np.ndarray, np.ndarray]:
 
 
 def moment(mu: Measure, v: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Integral of v against mu (midpoint rule on grids, O(dx^2))."""
-    if isinstance(mu, GridMeasure):
-        return float(np.dot(np.asarray(v(mu.centers), dtype=float), mu.cell_mass))
-    return float(np.dot(np.asarray(v(mu.x), dtype=float), mu.weights))
+    """Integral of v against the atoms of :func:`as_atoms`."""
+    x, w = as_atoms(mu)
+    return float(np.dot(np.asarray(v(x), dtype=float), w))
 
 
 def barycenter(mu: Measure) -> float:
-    """First moment: the integral of x against mu.
-
-    On grids it is summed over the carried cell centroids, so it is exact for
-    the stored state (the midpoint rule of :func:`moment` is not).
-    """
-    if isinstance(mu, GridMeasure):
-        return float(np.dot(mu.centroids, mu.cell_mass))
-    return float(np.dot(mu.x, mu.weights))
+    """First moment: the integral of x against mu."""
+    return moment(mu, lambda x: x)
 
 
 def sup_norm(mu: GridMeasure) -> float:
@@ -260,7 +256,7 @@ def wasserstein_1d(mu: Measure, nu: Measure, p: float = 1.0) -> float:
     """p-Wasserstein distance via quantile functions.
 
     Exact for pairs of particle measures (common refinement of the quantile
-    partitions); grid measures are atomized at cell midpoints first.
+    partitions); grid measures are atomized at their cell centroids first.
     """
     if p < 1:
         raise ValueError("order p must be >= 1")

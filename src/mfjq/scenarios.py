@@ -21,7 +21,7 @@ import numpy as np
 from .controller import ControllerState
 from .kernels import constant_kernel, make_kernel
 from .lyapunov import variance_about
-from .measures import GridMeasure, ParticleMeasure, SupportBall, moment
+from .measures import GridMeasure, ParticleMeasure, SupportBall, _grid_geometry, moment
 from .rng import default_rng
 from .solver import Dynamics, SolverConfig, TrajectoryLog, evolve
 
@@ -236,9 +236,7 @@ def _is_finite_number(v) -> bool:
 
 def _interval_cells(spec: ScenarioSpec) -> np.ndarray:
     """Which cells of the spec's grid have their centre in ``interval``."""
-    x_min, x_max = spec.domain
-    dx = (x_max - x_min) / spec.n_cells
-    centers = x_min + (np.arange(spec.n_cells) + 0.5) * dx
+    centers = _grid_geometry(*spec.domain, spec.n_cells)[1]
     lo, hi = spec.interval
     return (centers >= lo) & (centers <= hi)
 

@@ -1,13 +1,14 @@
 """Time evolution of a measure under a nonlocal drift plus localized control.
 
-One loop, :func:`evolve`, serves both backends: every field is a nonlocal
-integral against the atoms (cell midpoints and masses on a grid) at the start
-of the step and is frozen over it.  The controller is queried once per step,
-and its bump is held piecewise constant between switch events.
+One loop, :func:`evolve`, serves both backends: the control fields and V are
+integrals against the atoms at the start of the step (on a grid, the cell
+centroids and masses of :func:`~mfjq.measures.as_atoms`) and are frozen over
+it.  The controller is queried once per step, and its bump is held piecewise
+constant between switch events.
 
 Grid measures carry each cell's mass and the centroid of that mass.  The
-interaction drift is evaluated at the cell midpoints, v_i = sum_j K(x_j -
-x_i) m_j; on the uniform grid this is a correlation of the masses with the
+interaction drift alone is evaluated on the uniform midpoints x_i, v_i =
+sum_j K(x_j - x_i) m_j; there it is a correlation of the masses with the
 kernel's taps k_m = K(m dx) (:func:`stencil_velocity`), a band as wide as the
 kernel's reach, so no n x n matrix is built.  The drift moves each cell's
 content rigidly; the parts are re-binned with their own centroids.  Mass and
@@ -27,8 +28,8 @@ import numpy as np
 
 from .controller import ControlDecision, ControllerState, decide_multi
 from .kernels import InteractionKernel, ball_cutoff
-from .lyapunov import MomentFunctional, value
-from .measures import (GridMeasure, Measure, ParticleMeasure, SupportBall,
+from .lyapunov import MomentFunctional, rk4_step, value
+from .measures import (GridMeasure, Measure, ParticleMeasure, SupportBall, as_atoms,
                        support_bounds, sup_norm, total_mass, write_csv)
 
 
@@ -66,13 +67,13 @@ PERF_COUNTS = ("cfl_substeps", "controller_queries", "strict_searches",
 class TrajectoryLog:
     dt: float
     dx: float
-    div_sup: list = field(default_factory=list)
-    switches: list = field(default_factory=list)  # one dict per controller switch
-    ceiling_gaps: list = field(default_factory=list)  # best - U per strict search
-    snapshots: list = field(default_factory=list)  # (t, measure), unless streamed
-    final: Optional[Measure] = None  # the measure at t_end
-    meta: dict = field(default_factory=dict)
-    perf: dict = field(default_factory=lambda: dict.fromkeys(PERF_COUNTS, 0)
+    div_sup: list = field(init=False, default_factory=list)
+    switches: list = field(init=False, default_factory=list)  # one dict per switch
+    ceiling_gaps: list = field(init=False, default_factory=list)  # best - U per search
+    snapshots: list = field(init=False, default_factory=list)  # (t, mu) unless streamed
+    final: Optional[Measure] = field(init=False, default=None)  # the measure at t_end
+    meta: dict = field(init=False, default_factory=dict)
+    perf: dict = field(init=False, default_factory=lambda: dict.fromkeys(PERF_COUNTS, 0)
                        | {"max_best_over_ceiling": None})
     # the logged steps fill the first _n rows; the buffer doubles when full
     _buf: np.ndarray = field(init=False, repr=False,
@@ -243,12 +244,7 @@ def step_grid(mu: GridMeasure, field: np.ndarray, dt: float, *,
 
 def step_particles(mu: ParticleMeasure, field: Callable, dt: float) -> ParticleMeasure:
     """Advance every atom one RK4 step along the frozen field; weights unchanged."""
-    x = mu.x
-    k1 = np.asarray(field(x))
-    k2 = np.asarray(field(x + 0.5 * dt * k1))
-    k3 = np.asarray(field(x + 0.5 * dt * k2))
-    k4 = np.asarray(field(x + dt * k3))
-    return ParticleMeasure(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), mu.weights)
+    return ParticleMeasure(rk4_step(mu.x, field, dt), mu.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +319,7 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     t = 0.0
     u_ctrl = u_e = None  # the held bump and its values at the edges
     for k in range(n_steps + 1):
-        ax, aw = (mu.centers, mu.cell_mass) if grid else (mu.x, mu.weights)
+        ax, aw = as_atoms(mu) if grid else (mu.x, mu.weights)
         g_fields = [
             (lambda x, g=g: g.field_at(x, ax, aw) * ball_cutoff(x, ball, taper))
             for g in dynamics.g_kernels
@@ -341,7 +337,7 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
             u_fn = dynamics.prescribed_control(t)
 
         if grid:  # the drift has its own stencil; the edge field is the control alone
-            w_drift = None if drift is None else stencil_velocity(aw, *drift)
+            w_drift = None if drift is None else stencil_velocity(mu.cell_mass, *drift)
             if u_fn is None:
                 v_e = np.zeros(edges.size)
             else:

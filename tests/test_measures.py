@@ -89,8 +89,8 @@ class TestGridMeasure:
         mu = GridMeasure(0.0, 2.0, np.array([0.75, 0.25]), np.array([0.5, -0.25]))
         np.testing.assert_allclose(mu.centroids, [1.0, 1.25])
         assert barycenter(mu) == pytest.approx(0.75 * 1.0 + 0.25 * 1.25)
-        # midpoint quadrature ignores the offsets; translation keeps them
-        assert moment(mu, lambda x: x) == pytest.approx(0.75 * 0.5 + 0.25 * 1.5)
+        # moments are taken over the centroids; translation keeps the offsets
+        assert moment(mu, lambda x: x) == pytest.approx(0.75 * 1.0 + 0.25 * 1.25)
         assert barycenter(translate(mu, 2.0)) == pytest.approx(barycenter(mu) + 2.0)
         np.testing.assert_array_equal(GridMeasure(0.0, 2.0, mu.cell_mass).offset, 0.0)
 

@@ -13,6 +13,7 @@ from mfjq.scenarios import (BUILTIN_SCENARIOS, ScenarioSpec, concentration_gain,
                             default_epsilon_schedule, detect_clusters,
                             make_initial_measure, run_concentration_demo,
                             run_hk)
+from mfjq.solver import check_linf_bound
 
 
 class TestScenarioSpec:
@@ -168,6 +169,22 @@ class TestShortRuns:
         log, _ = run_hk(spec)
         assert log.n_switches == 0
         assert np.all(np.isnan(log.column("control_eta")))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["hk_ctrl_h02", "hk_ctrl_h05", "hk_ctrl_h09"])
+def test_controlled_runs_at_other_seeds(name, seed):
+    """The full controlled runs at seeds other than the builtin 42.
+
+    A controller that chatters switches every 2-3 steps; one that settles
+    switches rarely.  The ceiling of a switch per 20 steps lies between.
+    """
+    spec = ScenarioSpec.builtin(name).apply_overrides(seed=seed)
+    log, _ = run_hk(spec)
+    n_steps = round(spec.t_end / spec.dt)
+    assert check_linf_bound(log)["ok"]
+    assert log.V[-1] / log.V[0] < 0.01
+    assert log.n_switches <= n_steps // 20
 
 
 class TestConcentration:
