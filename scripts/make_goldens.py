@@ -5,12 +5,14 @@ Usage: python scripts/make_goldens.py
 
 The goldens are runs of three builtin scenarios: short horizons of the two
 grid scenarios and the shipped particle concentration demo; and the standard
-output of `mfjq verify all`.  The byte-level regression test in
-tests/test_golden.py re-runs them with identical flags and compares the CSV
-outputs and the printed lines.  Regenerate (and review the diff) only after an
+output of `mfjq verify all`.  A run that keeps only its last snapshot file
+also gets a sha256 manifest of all its snapshots.  The byte-level regression
+test in tests/test_golden.py re-runs them with identical flags and compares
+the CSV outputs, the manifest and the printed lines.  Regenerate (and review the diff) only after an
 intentional change to the numerics or the log format.
 """
 import contextlib
+import hashlib
 import io
 import shutil
 import sys
@@ -19,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from mfjq.cli import main as cli_main  # noqa: E402
-from tests.test_golden import GOLDEN_DIR, RUNS, VERIFY_ALL  # noqa: E402
+from tests.test_golden import GOLDEN_DIR, MANIFEST, RUNS, VERIFY_ALL  # noqa: E402
 
 
 def main():
@@ -35,6 +37,9 @@ def main():
         if not all_snapshots:
             snaps = sorted((out / "snapshots").glob("*.csv"),
                            key=lambda p: float(p.stem.removeprefix("snapshot_t")))
+            (out / MANIFEST).write_text("".join(
+                f"{hashlib.sha256(p.read_bytes()).hexdigest()}  snapshots/{p.name}\n"
+                for p in snaps))
             for p in snaps[:-1]:
                 p.unlink()
         print(f"wrote {out}")

@@ -87,8 +87,7 @@ class ConstantKernel(InteractionKernel):
     value: float = 1.0
 
     def field_at(self, x_eval, atoms_x, atoms_w):
-        return np.full(np.shape(np.asarray(x_eval, dtype=float)),
-                       self.value * float(np.sum(atoms_w)))
+        return np.full(np.shape(x_eval), self.value * float(atoms_w.sum()))
 
     def field_matrix(self, x_eval, atoms_x):
         return np.full((len(x_eval), len(atoms_x)), self.value)

@@ -52,12 +52,27 @@ def lie_derivative(V: MomentFunctional, field: Callable, mu: Measure) -> float:
 
 
 def rk4_step(x: np.ndarray, field: Callable, h) -> np.ndarray:
-    """One classical RK4 step of length h (a scalar or one per point)."""
+    """One classical RK4 step of length h (a scalar or one per point).
+
+    The field must be pointwise: its value at a point depends on that point
+    alone, as ``InteractionKernel.field_at``'s does.  Then a point where the
+    first stage gives ±0 has k2 = k3 = k4 = k1, so the atoms at rest are not
+    re-evaluated: stages 2-4 run on the moving atoms only (a NaN velocity
+    counts as moving), and every atom gets the bits of the four-stage formula.
+    """
     k1 = np.asarray(field(x))
+    # at rest, k1 + 2 k1 + 2 k1 + k1 is k1: a sum of like-signed zeros keeps the sign
+    out = x + (h / 6.0) * k1
+    # stages 2-4 call the field even with no points, so a step makes four calls
+    move = (k1 != 0.0).nonzero()
+    x, k1 = x[move], k1[move]
+    if np.ndim(h):
+        h = h[move]
     k2 = np.asarray(field(x + 0.5 * h * k1))
     k3 = np.asarray(field(x + 0.5 * h * k2))
     k4 = np.asarray(field(x + h * k3))
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out[move] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
 
 
 def _rk4_flow(x: np.ndarray, field: Callable, tau) -> np.ndarray:

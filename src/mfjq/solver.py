@@ -51,6 +51,9 @@ class SolverConfig:
 
 CSV_COLUMNS = ["t", "V", "slope", "control_a", "control_b", "control_eta",
                "control_sign", "mass", "sup_norm", "supp_lo", "supp_hi"]
+# the log's columns: the CSV's, then the discrete divergence bound of the step
+# that starts at the row (NaN on a particle run), which check_linf_bound reads
+LOG_COLUMNS = CSV_COLUMNS + ["div_sup"]
 
 
 # Counts of the work a run did, in meta.json's "perf" record.  Every controller
@@ -67,7 +70,6 @@ PERF_COUNTS = ("cfl_substeps", "controller_queries", "strict_searches",
 class TrajectoryLog:
     dt: float
     dx: float
-    div_sup: list = field(init=False, default_factory=list)
     switches: list = field(init=False, default_factory=list)  # one dict per switch
     ceiling_gaps: list = field(init=False, default_factory=list)  # best - U per search
     snapshots: list = field(init=False, default_factory=list)  # (t, mu) unless streamed
@@ -77,10 +79,10 @@ class TrajectoryLog:
                        | {"max_best_over_ceiling": None})
     # the logged steps fill the first _n rows; the buffer doubles when full
     _buf: np.ndarray = field(init=False, repr=False,
-                             default_factory=lambda: np.empty((64, len(CSV_COLUMNS))))
+                             default_factory=lambda: np.empty((64, len(LOG_COLUMNS))))
     _n: int = field(init=False, repr=False, default=0)
 
-    def append(self, t, V, slope, ctrl, mass, sup, lo, hi):
+    def append(self, t, V, slope, ctrl, mass, sup, lo, hi, div_sup=float("nan")):
         a = b = eta = float("nan")
         sign = 0
         if ctrl is not None:
@@ -88,13 +90,13 @@ class TrajectoryLog:
             sign = ctrl.sign
         if self._n == len(self._buf):
             self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
-        self._buf[self._n] = (t, V, slope, a, b, eta, sign, mass, sup, lo, hi)
+        self._buf[self._n] = (t, V, slope, a, b, eta, sign, mass, sup, lo, hi, div_sup)
         self._n += 1
 
     @property
     def rows(self) -> np.ndarray:
         """The logged steps, one float row of CSV_COLUMNS each (a view)."""
-        return self._buf[:self._n]
+        return self._buf[:self._n, :len(CSV_COLUMNS)]
 
     def record_decision(self, t: float, decision: ControlDecision) -> None:
         """Count a controller query by how it was settled; log its switch."""
@@ -117,7 +119,7 @@ class TrajectoryLog:
             perf["settled_by_ceiling"] += 1
 
     def column(self, name: str) -> np.ndarray:
-        return self.rows[:, CSV_COLUMNS.index(name)]
+        return self._buf[:self._n, LOG_COLUMNS.index(name)]
 
     @property
     def t(self) -> np.ndarray:
@@ -353,14 +355,15 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
 
         if k % config.log_every == 0 or k == n_steps:
             lo, hi = _check_support(mu, ball, mu.dx + 1e-9 if grid else 1e-9)
-            log.append(t, value(V, mu), slope_now, ctrl, total_mass(mu),
-                       sup_norm(mu) if grid else float("nan"), lo, hi)
+            sup = div = float("nan")
             if grid:
+                sup = sup_norm(mu)
                 # the two velocities the step uses: drift at midpoints, control at edges
                 div = np.abs(v_e[1:] - v_e[:-1]).max()
                 if w_drift is not None:
                     div += np.abs(w_drift[1:] - w_drift[:-1]).max()
-                log.div_sup.append(float(div / mu.dx))
+                div /= mu.dx
+            log.append(t, value(V, mu), slope_now, ctrl, total_mass(mu), sup, lo, hi, div)
         every = config.snapshot_every
         if every is not None and t - last_snap >= every - 1e-12:
             on_snapshot(t, mu)
@@ -390,7 +393,7 @@ def check_linf_bound(log: TrajectoryLog) -> dict:
     report; never raises.
     """
     sup = log.column("sup_norm")
-    div = np.asarray(log.div_sup)
+    div = log.column("div_sup")
     dt_log = np.diff(log.t)
     slack = 5.0 * (log.dx + log.dt)
     violations = []

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mfjq.controller import bump_1d
 from mfjq.kernels import HKKernel, nonlocal_field
 from mfjq.lyapunov import (MomentFunctional, _rk4_flow, lie_derivative,
-                           lie_derivative_fd_oracle, value, variance_about)
+                           lie_derivative_fd_oracle, rk4_step, value, variance_about)
 from mfjq.measures import GridMeasure, ParticleMeasure, moment
 
 
@@ -95,6 +95,50 @@ class TestLieDerivative:
         with pytest.raises(ValueError):
             lie_derivative_fd_oracle(V, lambda x: x, ParticleMeasure.dirac(0.0),
                                      tau=0.0)
+
+
+def rk4_reference(x, field, h):
+    """The plain four-stage formula, every stage on every atom."""
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestRK4Step:
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("h", ["scalar", "negative", "per_atom"])
+    def test_matches_four_stage_formula(self, zero, h):
+        """Bit for bit, with stages 2-4 evaluated on the moving atoms only.
+
+        The field rests at ``zero`` on (-1, 0] (x = -0.0 included), at -0.0
+        left of -1, is NaN on [1.8, 2.2] and moves everywhere else."""
+        def pointwise(x):
+            v = np.where(np.abs(x - 2.0) <= 0.2, np.nan, np.sin(3.0 * x) + 0.5)
+            return np.where(x <= 0.0, np.where(x > -1.0, zero, -0.0), v)
+
+        calls = []
+
+        def counting(x):
+            calls.append(x.size)
+            return pointwise(x)
+
+        rng = np.random.default_rng(5)
+        x = np.concatenate(([-0.0, 0.0, -0.0, -3.0, -0.5, 0.25, 2.0, 5.0],
+                            rng.uniform(-4.0, 4.0, 40)))
+        step = {"scalar": 0.1, "negative": -0.1,
+                "per_atom": rng.choice([-1.0, 1.0], x.size) * rng.uniform(0.01, 0.3, x.size)}[h]
+        moving = int(np.count_nonzero(pointwise(x) != 0.0))
+        assert 0 < moving < x.size
+        got = rk4_step(x, counting, step)
+        assert got.tobytes() == rk4_reference(x, pointwise, step).tobytes()
+        assert calls == [x.size, moving, moving, moving]
+        calls.clear()  # with nothing moving, stages 2-4 still call the field
+        still = np.array([-0.0, 0.0, -0.5, -3.0])
+        expected = rk4_reference(still, pointwise, 0.1)
+        assert rk4_step(still, counting, 0.1).tobytes() == expected.tobytes()
+        assert calls == [still.size, 0, 0, 0]
 
 
 class TestBatchedFlow:

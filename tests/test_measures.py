@@ -140,11 +140,25 @@ MANY_ROWS = np.random.default_rng(3).normal(size=(2500, 3)) * 1e5
 MANY_ROWS[::97, 1] = np.nan
 
 
+def constant_column(value, n):
+    """n > 1024 rows: one column is ``value`` throughout, one mixes 0.0 and
+    -0.0 (equal as numbers, not as bits, so not constant), one varies."""
+    return (["const", "zeros", "k"],
+            [[value, -0.0 if k % 7 == 3 else 0.0, k] for k in range(n)])
+
+
+CONSTANT_COLUMNS = st.tuples(CSV_NUMBERS, st.integers(1025, 2100)).map(
+    lambda vn: constant_column(*vn))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda k: st.lists(st.lists(CSV_NUMBERS, min_size=k, max_size=k), max_size=12)
-    .map(lambda rows: ([f"c{i}" for i in range(k)], rows))))
+    .map(lambda rows: ([f"c{i}" for i in range(k)], rows))) | CONSTANT_COLUMNS)
 @example((["a", "b", "c"], MANY_ROWS.tolist()))
+@example(constant_column(-0.0, 1025))
+@example(constant_column(float("nan"), 1500))
+@example(constant_column(float("-inf"), 2049))
 def test_write_csv_matches_csv_module(case):
     header, rows = case
     with tempfile.TemporaryDirectory() as tmp:
