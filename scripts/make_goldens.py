@@ -6,14 +6,17 @@ Usage: python scripts/make_goldens.py
 The goldens are runs of three builtin scenarios: short horizons of the two
 grid scenarios and the shipped particle concentration demo; and the standard
 output of `mfjq verify all`.  A run that keeps only its last snapshot file
-also gets a sha256 manifest of all its snapshots.  The byte-level regression
-test in tests/test_golden.py re-runs them with identical flags and compares
-the CSV outputs, the manifest and the printed lines.  Regenerate (and review the diff) only after an
+also gets a sha256 manifest of all its snapshots.  Each run keeps its
+meta.json (the perf counts and the switch list) without its package version.
+The byte-level regression test in tests/test_golden.py re-runs them with
+identical flags and compares the CSV outputs, the manifest, the parsed
+meta.json and the printed lines.  Regenerate (and review the diff) only after an
 intentional change to the numerics or the log format.
 """
 import contextlib
 import hashlib
 import io
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -32,8 +35,10 @@ def main():
         rc = cli_main(["run", "--scenario", name, "--out", str(out), *flags])
         if rc != 0:
             raise SystemExit(f"{name}: CLI exited with {rc}")
-        # meta.json carries the package version; only the CSVs are golden
-        (out / "meta.json").unlink()
+        # meta.json is golden but for the package version it carries
+        meta = json.loads((out / "meta.json").read_text())
+        del meta["version"]
+        (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
         if not all_snapshots:
             snaps = sorted((out / "snapshots").glob("*.csv"),
                            key=lambda p: float(p.stem.removeprefix("snapshot_t")))

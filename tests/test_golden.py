@@ -5,9 +5,11 @@ the two grid scenarios and the shipped particle concentration demo, and the
 standard output of `mfjq verify all`.  Every golden file must reproduce
 exactly (the CSV writer uses a fixed %.12g format, so any numerical change
 shows up as a byte diff).  Where only the last snapshot file is kept, every
-snapshot must match the sha256 manifest.
+snapshot must match the sha256 manifest.  Each run's meta.json, its package
+version dropped, must parse to the golden one with every float exact.
 """
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,9 @@ def test_golden_run_reproduces(name, tmp_path):
         assert fresh == sorted((golden / MANIFEST).read_text().splitlines())
     for rel in golden_csvs:
         assert (out / rel).read_bytes() == (golden / rel).read_bytes(), rel
+    meta = json.loads((out / "meta.json").read_text())
+    del meta["version"]
+    assert meta == json.loads((golden / "meta.json").read_text())
 
 
 def test_verify_all_stdout_reproduces(capsys):
