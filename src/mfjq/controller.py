@@ -160,11 +160,8 @@ class SlopeEvaluator:
         allowance = 1e-9 * (self.p0[-1] + self.n0[-1]) * (1.0 + reach / eta_min)
         return bound, allowance
 
-    def signed(self, params: BumpParams) -> float:
-        return float(self.signed_batch(params.a, params.b, params.eta))
-
     def slope(self, params: BumpParams) -> float:
-        return abs(self.signed(params))
+        return abs(float(self.signed_batch(params.a, params.b, params.eta)))
 
 
 def slope(mu: Measure, g_field: Callable, V: MomentFunctional,
@@ -222,7 +219,8 @@ class ControlDecision:
     switched: bool
     slope: float = 0.0            # slope of the control applied, 0 when idle
     current_slope: float = 0.0    # slope of the previously active bump
-    candidate_slope: float = 0.0  # at a switch: the challenger's slope, else the new bump's
+    # at a switch the challenger's slope, else the new bump's; 0 without a switch
+    candidate_slope: float = 0.0
     ceiling: float = 0.0          # U: no strictly admissible bump is steeper
     searched_slope: Optional[float] = None  # best strict slope, if the search ran
     # why it switched: "entry" from idle, the active slope fell "below_phi1",
@@ -245,8 +243,9 @@ def _grid(centers, etas, w_lo, w_hi, c: float):
 
     The N_W widths run evenly from w_lo to w_hi (scalars, or one value per
     eta) and are clipped to the admissible [0, c - 2*eta].  Every axis is
-    sorted, so the copies its clip makes are adjacent and only the first of
-    each run is kept; equal etas must come with equal width rows.
+    sorted, so the copies its clip makes are adjacent: one mask over the
+    (eta, center, width) product keeps the first of each run; equal etas
+    must come with equal width rows.
     """
     lo, hi = np.reshape(w_lo, (-1, 1)), np.reshape(w_hi, (-1, 1))
     # np.linspace written out: given one zero-length row, numpy's array
@@ -254,17 +253,10 @@ def _grid(centers, etas, w_lo, w_hi, c: float):
     widths = lo + np.arange(N_W) * ((hi - lo) / (N_W - 1))
     widths[:, -1:] = hi
     widths = widths.clip(0.0, np.maximum(c - 2.0 * etas, 0.0)[:, None])
-    rows = _distinct(etas)
-    centers, etas, widths = centers[_distinct(centers)], etas[rows], widths[rows]
-    keep = _distinct(widths)
-    n_w = keep.sum(axis=1)                   # distinct widths per eta
-    run = np.repeat(n_w, centers.size)       # one run of widths per (eta, center)
-    # each candidate's index into widths[keep]: its place in the output, less
-    # where its run starts, plus where its eta's widths start
-    shift = np.cumsum(run) - run - np.repeat(np.cumsum(n_w) - n_w, centers.size)
-    idx = np.arange(run.sum()) - np.repeat(shift, run)
-    return (np.repeat(np.tile(centers, etas.size), run), widths[keep][idx],
-            np.repeat(etas, n_w * centers.size))
+    keep = (_distinct(etas)[:, None, None] & _distinct(centers)[:, None]
+            & _distinct(widths)[:, None, :])
+    e, m, w = keep.nonzero()
+    return centers[m], widths[e, w], etas[e]
 
 
 def _tie_floor(smax: float) -> float:
@@ -355,22 +347,6 @@ def slope_ceiling(evaluators: Sequence[SlopeEvaluator], t: float,
     return U
 
 
-def _step_entry(t: float, state: ControllerState,
-                evaluators: Sequence[SlopeEvaluator], reason: str,
-                current_slope: float) -> tuple[ControlDecision, ControllerState]:
-    found = search_maximizer(evaluators, t, state, strict=False)
-    ctrl, s = None, 0.0
-    if found is not None:
-        params, i, s, signed = found
-        # kappa > 0 makes phi2 > 0, so an accepted slope has a definite sign
-        if s >= state.phi2(t):
-            ctrl = ActiveControl(params, -1 if signed > 0 else 1, i)
-    s = s if ctrl else 0.0
-    return (ControlDecision(ctrl, True, slope=s, current_slope=current_slope,
-                            candidate_slope=s, reason=reason),
-            replace(state, active=ctrl))
-
-
 def decide_multi(t: float, mu: Measure, state: ControllerState,
                  g_fields: Sequence[Callable], V: MomentFunctional
                  ) -> tuple[ControlDecision, ControllerState]:
@@ -384,36 +360,35 @@ def decide_multi(t: float, mu: Measure, state: ControllerState,
     and an idle query with nothing strictly admissible (U = 0) evaluates
     nothing.
     """
-    if state.active is None and state.eta_min(t, strict=True) > state.c / 2.0:
+    ctrl = state.active
+    if ctrl is None and state.eta_min(t, strict=True) > state.c / 2.0:
         return ControlDecision(None, False, empty=True), state
     evaluators = [SlopeEvaluator(mu, g, V) for g in g_fields]
-    dec, state = _settle(t, state, evaluators)
-    return replace(dec, scored=sum(ev.scored for ev in evaluators)), state
-
-
-def _settle(t: float, state: ControllerState, evaluators: Sequence[SlopeEvaluator]
-            ) -> tuple[ControlDecision, ControllerState]:
-    ctrl = state.active
     U = slope_ceiling(evaluators, t, state)
+    s_cur, best, reason = 0.0, None, None
     if ctrl is None:
-        if U < state.phi3(t):  # no bump can enter
-            return ControlDecision(None, False, ceiling=U), state
         # U = 0 settles an empty admissible set, so every search that runs finds a bump
-        best = search_maximizer(evaluators, t, state, strict=True)[2]
-        if best >= state.phi3(t):
-            dec, state = _step_entry(t, state, evaluators, "entry", current_slope=0.0)
-        else:
-            dec = ControlDecision(None, False)
-        return replace(dec, ceiling=U, searched_slope=best), state
-    s_cur = evaluators[ctrl.field_index].slope(ctrl.params)
-    if s_cur <= state.phi1(t):
-        dec, state = _step_entry(t, state, evaluators, "below_phi1", current_slope=s_cur)
-        return replace(dec, ceiling=U), state
-    hold = ControlDecision(ctrl, False, slope=s_cur, current_slope=s_cur, ceiling=U)
-    if s_cur > (1.0 - state.h) * U:  # no challenger can beat the margin
-        return hold, state
-    best = search_maximizer(evaluators, t, state, strict=True)[2]
-    if s_cur <= (1.0 - state.h) * best:
-        dec, state = _step_entry(t, state, evaluators, "challenger", current_slope=s_cur)
-        return replace(dec, candidate_slope=best, ceiling=U, searched_slope=best), state
-    return replace(hold, searched_slope=best), state
+        if not U < state.phi3(t):  # U < phi3: no bump can enter; a NaN U searches
+            best = search_maximizer(evaluators, t, state, strict=True)[2]
+            reason = "entry" if best >= state.phi3(t) else None
+    else:
+        s_cur = evaluators[ctrl.field_index].slope(ctrl.params)
+        if s_cur <= state.phi1(t):
+            reason = "below_phi1"
+        elif not s_cur > (1.0 - state.h) * U:  # else no challenger can beat the margin
+            best = search_maximizer(evaluators, t, state, strict=True)[2]
+            reason = "challenger" if s_cur <= (1.0 - state.h) * best else None
+    s, candidate = s_cur, 0.0
+    if reason is not None:
+        found = search_maximizer(evaluators, t, state, strict=False)
+        ctrl, s = None, 0.0
+        # kappa > 0 makes phi2 > 0, so an accepted slope has a definite sign
+        if found is not None and found[2] >= state.phi2(t):
+            params, i, s, signed = found
+            ctrl = ActiveControl(params, -1 if signed > 0 else 1, i)
+        candidate = best if reason == "challenger" else s
+        state = replace(state, active=ctrl)
+    return (ControlDecision(ctrl, reason is not None, slope=s, current_slope=s_cur,
+                            candidate_slope=candidate, ceiling=U, searched_slope=best,
+                            reason=reason, scored=sum(ev.scored for ev in evaluators)),
+            state)

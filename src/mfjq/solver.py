@@ -304,7 +304,6 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     drift = None
     if grid:
         edges = mu.edges
-        cut_e = ball_cutoff(edges, ball, taper)
         if f is not None:
             # the drift moves cell contents with velocities at the midpoints
             drift = (f.grid_stencil(mu.dx, mu.n_cells),
@@ -345,8 +344,7 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
             else:
                 if ctrl is None or ctrl is not u_ctrl:
                     u_ctrl, u_e = ctrl, np.asarray(u_fn(edges), dtype=float)
-                g = dynamics.g_kernels[g_index]
-                v_e = u_e * (g.field_at(edges, ax, aw) * cut_e)
+                v_e = u_e * g_fields[g_index](edges)
         else:
             def velocity(x):  # f[mu] + u g[mu]
                 v = (np.zeros_like(np.asarray(x, dtype=float)) if u_fn is None
@@ -396,11 +394,10 @@ def check_linf_bound(log: TrajectoryLog) -> dict:
     div = log.column("div_sup")
     dt_log = np.diff(log.t)
     slack = 5.0 * (log.dx + log.dt)
-    violations = []
-    for k in range(len(sup) - 1):
-        bound = sup[k] * (1.0 + dt_log[k] * div[k]) * (1.0 + slack)
-        if sup[k + 1] > bound:
-            violations.append((float(log.t[k + 1]), float(sup[k + 1]), float(bound)))
+    bound = sup[:-1] * (1.0 + dt_log * div[:-1]) * (1.0 + slack)
+    bad = sup[1:] > bound
+    violations = list(zip(log.t[1:][bad].tolist(), sup[1:][bad].tolist(),
+                          bound[bad].tolist()))
     m = log.meta
     theta = m.get("theta", float(log.t[-1]))
     # compare in log space: the a-priori constant easily overflows a float

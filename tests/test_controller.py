@@ -55,25 +55,28 @@ def clip_cases(seed):
 
 
 def ungated_decide(t, mu, state, g_fields, V):
-    """(control, switched) of the decision rule with its strict search always run."""
+    """(control, switched, reason) of the decision rule with its strict search
+    always run."""
     evaluators = [SlopeEvaluator(mu, g, V) for g in g_fields]
 
-    def enter():
+    def enter(reason):
         found = search_maximizer(evaluators, t, state)
         if found is not None and found[2] >= state.phi2(t):
             params, i, _, signed = found
-            return ActiveControl(params, -1 if signed > 0 else 1, i), True
-        return None, True
+            return ActiveControl(params, -1 if signed > 0 else 1, i), True, reason
+        return None, True, reason
 
     found = search_maximizer(evaluators, t, state, strict=True)
     best = 0.0 if found is None else found[2]
     ctrl = state.active
     if ctrl is None:
-        return enter() if best >= state.phi3(t) else (None, False)
+        return enter("entry") if best >= state.phi3(t) else (None, False, None)
     s_cur = evaluators[ctrl.field_index].slope(ctrl.params)
-    if s_cur <= state.phi1(t) or s_cur <= (1.0 - state.h) * best:
-        return enter()
-    return ctrl, False
+    if s_cur <= state.phi1(t):
+        return enter("below_phi1")
+    if s_cur <= (1.0 - state.h) * best:
+        return enter("challenger")
+    return ctrl, False, None
 
 
 def count_candidates(monkeypatch):
@@ -285,7 +288,9 @@ class TestSlopeCeiling:
 
         def checked(t, mu, state, g_fields, V):
             dec, new = decide_multi(t, mu, state, g_fields, V)
-            assert (dec.control, dec.switched) == ungated_decide(t, mu, state, g_fields, V), t
+            assert ((dec.control, dec.switched, dec.reason)
+                    == ungated_decide(t, mu, state, g_fields, V)), t
+            assert dec.switched or dec.candidate_slope == 0.0, t
             searched.append(dec.searched_slope is not None)
             return dec, new
 

@@ -372,6 +372,28 @@ class TestLinfBound:
         assert growth <= np.e * (1.0 + 5 * (log.dx + log.dt))
         assert growth > 1.5  # it really does grow
 
+    def test_violations_match_scalar_loop(self):
+        """Each row whose sup-norm outgrows its Gronwall step is reported as
+        (t, sup, bound), as a loop over the rows finds them; a NaN divergence
+        bound reports nothing."""
+        log = TrajectoryLog(dt=0.01, dx=0.01)
+        sups = [1.0, 1.2, 1.1, 3.0, 2.9, 3.5, 4.0, 0.5]
+        divs = [0.0, 1.0, 25.0, 0.0, float("nan"), 0.0, 2.0, 0.0]
+        for k, (sup_k, div_k) in enumerate(zip(sups, divs)):
+            log.append(0.01 * k, 1.0, 0.0, None, 1.0, sup_k, -1.0, 1.0, div_k)
+        t, sup, div = log.t, log.column("sup_norm"), log.column("div_sup")
+        slack = 5.0 * (log.dx + log.dt)
+        expected = []
+        for k in range(len(sup) - 1):
+            bound = sup[k] * (1.0 + (t[k + 1] - t[k]) * div[k]) * (1.0 + slack)
+            if sup[k + 1] > bound:
+                expected.append((float(t[k + 1]), float(sup[k + 1]), float(bound)))
+        rep = check_linf_bound(log)
+        assert len(expected) == 3 and rep["violations"] == expected
+        assert all(type(v) is float for row in rep["violations"] for v in row)
+        # with L = M = 0 the global bound is sup[0], which the run exceeds
+        assert not rep["ok"] and not rep["global_bound_ok"] and rep["slack"] == slack
+
 
 class TestStabilityProbe:
     def test_close_data_stay_close(self):
