@@ -10,13 +10,13 @@ u*g) is maximal over the admissible parameter set
 
 with a hysteresis margin h preventing chattering between near-optimal bumps.
 
-Slopes are evaluated with prefix sums over the sorted atoms of the measure,
-so a round of the search costs O((n_atoms + n_candidates) log n_atoms).  The
-clips to the admissible set and to [-R, R] make copies of many grid points;
-each round scores its distinct candidates only, at most N_A * N_W * N_ETA.
-The coarse round also skips every centre whose window of width c cannot hold
-a bump as steep as the best probe bump (a bathtub bound on the slope), which
-leaves its winner and the refinement unchanged.
+Slopes are evaluated with prefix sums over the sorted atoms (x, w) the caller
+passes, so a round of the search costs O((n_atoms + n_candidates) log
+n_atoms).  The clips to the admissible set and to [-R, R] make copies of many
+grid points; each round scores its distinct candidates only, at most
+N_A * N_W * N_ETA.  The coarse round also skips every centre whose window of
+width c cannot hold a bump as steep as the best probe bump (a bathtub bound on
+the slope), which leaves its winner and the refinement unchanged.
 
 The same bound, taken over one window of width c per atom, gives a ceiling U
 on the slope of every strictly admissible bump.  A query whose decision U
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lyapunov import MomentFunctional
-from .measures import GridMeasure, Measure, as_atoms
+from .measures import Atoms, Measure, as_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +98,16 @@ class ActiveControl:
 class SlopeEvaluator:
     """Signed slope integrals q -> integral q(x) * bump(x) d mu(x) via prefix sums.
 
-    q(x) = v'(x) * g(x) is fixed at construction (measure and control field
-    frozen); each candidate bump then costs O(log n_atoms).  The atoms of a
-    grid measure, its cell centroids, are sorted already: each lies in its
-    own cell.  ``scored`` counts the candidates signed_batch has evaluated.
+    q(x) = v'(x) * g(x) is fixed at construction (atoms and control field
+    frozen); each candidate bump then costs O(log n_atoms).  The atoms are
+    sorted only when they are out of order; a grid's cell centroids, each in
+    its own cell, come sorted.  ``scored`` counts the candidates signed_batch
+    has evaluated.
     """
 
-    def __init__(self, mu: Measure, g_field: Callable, V: MomentFunctional):
-        x, w = as_atoms(mu)
-        if not isinstance(mu, GridMeasure):
+    def __init__(self, atoms: Atoms, g_field: Callable, V: MomentFunctional):
+        x, w = atoms
+        if (x[1:] < x[:-1]).any():
             order = np.argsort(x, kind="stable")
             x, w = x[order], w[order]
         self.x = x
@@ -157,7 +158,7 @@ class SlopeEvaluator:
         iR = self.x.searchsorted(hi, side="right")
         bound = np.maximum(self.p0[iR] - self.p0[iL], self.n0[iR] - self.n0[iL])
         reach = max(np.abs(self.x).max(), np.abs(lo).max(), np.abs(hi).max())
-        allowance = 1e-9 * (self.p0[-1] + self.n0[-1]) * (1.0 + reach / eta_min)
+        allowance = float(1e-9 * (self.p0[-1] + self.n0[-1]) * (1.0 + reach / eta_min))
         return bound, allowance
 
     def slope(self, params: BumpParams) -> float:
@@ -167,7 +168,7 @@ class SlopeEvaluator:
 def slope(mu: Measure, g_field: Callable, V: MomentFunctional,
           params: BumpParams) -> float:
     """|rate of V along bump(params) * g| for a frozen measure snapshot."""
-    return SlopeEvaluator(mu, g_field, V).slope(params)
+    return SlopeEvaluator(as_atoms(mu), g_field, V).slope(params)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +348,10 @@ def slope_ceiling(evaluators: Sequence[SlopeEvaluator], t: float,
     return U
 
 
-def decide_multi(t: float, mu: Measure, state: ControllerState,
+def decide_multi(t: float, atoms: Atoms, state: ControllerState,
                  g_fields: Sequence[Callable], V: MomentFunctional
                  ) -> tuple[ControlDecision, ControllerState]:
-    """One controller query; at most one control field active at any time.
+    """One controller query on atoms (x, w); at most one field active at any time.
 
     Idle mode waits until some strictly admissible bump has slope >= phi3(t);
     active mode holds the frozen bump until its slope drops to phi1(t) or a
@@ -363,7 +364,7 @@ def decide_multi(t: float, mu: Measure, state: ControllerState,
     ctrl = state.active
     if ctrl is None and state.eta_min(t, strict=True) > state.c / 2.0:
         return ControlDecision(None, False, empty=True), state
-    evaluators = [SlopeEvaluator(mu, g, V) for g in g_fields]
+    evaluators = [SlopeEvaluator(atoms, g, V) for g in g_fields]
     U = slope_ceiling(evaluators, t, state)
     s_cur, best, reason = 0.0, None, None
     if ctrl is None:

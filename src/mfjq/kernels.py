@@ -140,11 +140,7 @@ def make_kernel(name: str, epsilon: float = 0.05) -> InteractionKernel:
 def nonlocal_field(kernel: InteractionKernel, mu: Measure) -> Callable[[np.ndarray], np.ndarray]:
     """Pure closure x -> integral rule(x, y) d mu(y) over a measure snapshot."""
     ax, aw = as_atoms(mu)
-
-    def field(x):
-        return kernel.field_at(np.asarray(x, dtype=float), ax, aw)
-
-    return field
+    return lambda x: kernel.field_at(x, ax, aw)
 
 
 def ball_cutoff(x, ball: SupportBall, taper: float) -> np.ndarray:

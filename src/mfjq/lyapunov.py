@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import Measure, as_atoms, moment
+from .measures import Atoms, Measure, as_atoms, moment
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,14 @@ def variance_about(center: float, radius: float) -> MomentFunctional:
                             k_bound=2.0 * (radius + abs(c)))
 
 
-def value(V: MomentFunctional, mu: Measure) -> float:
-    return moment(mu, V.v)
+def value(V: MomentFunctional, atoms: Atoms) -> float:
+    """V at the atoms (x, w) of a measure, as :func:`~mfjq.measures.as_atoms` gives them."""
+    return moment(atoms, V.v)
 
 
 def lie_derivative(V: MomentFunctional, field: Callable, mu: Measure) -> float:
     """Closed-form rate of V along a frozen velocity field."""
-    return moment(mu, lambda x: np.asarray(V.v_prime(x)) * np.asarray(field(x)))
+    return moment(as_atoms(mu), lambda x: np.asarray(V.v_prime(x)) * np.asarray(field(x)))
 
 
 def rk4_step(x: np.ndarray, field: Callable, h) -> np.ndarray:

@@ -143,6 +143,7 @@ class ParticleMeasure:
 
 
 Measure = Union[GridMeasure, ParticleMeasure]
+Atoms = tuple[np.ndarray, np.ndarray]  # positions and weights, as as_atoms gives them
 
 
 @lru_cache(maxsize=16)
@@ -189,29 +190,27 @@ def total_mass(mu: Measure) -> float:
     return float(mu.weights.sum())
 
 
-def as_atoms(mu: Measure) -> tuple[np.ndarray, np.ndarray]:
+def as_atoms(mu: Measure) -> Atoms:
     """1D atomization: (positions, weights), zero-mass atoms dropped.
 
     A grid measure puts one atom per cell at the centroid of its mass.  The
     centroids lie inside their cells, so they are sorted.
     """
-    if isinstance(mu, GridMeasure):
-        x, w = mu.centroids, mu.cell_mass
-    else:
-        x, w = mu.x, mu.weights
+    grid = isinstance(mu, GridMeasure)
+    x, w = (mu.centroids, mu.cell_mass) if grid else (mu.x, mu.weights)
     keep = w > 0
     return x[keep], w[keep]
 
 
-def moment(mu: Measure, v: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Integral of v against the atoms of :func:`as_atoms`."""
-    x, w = as_atoms(mu)
+def moment(atoms: Atoms, v: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Integral of v against the atoms (x, w) of a measure (see :func:`as_atoms`)."""
+    x, w = atoms
     return float(np.dot(np.asarray(v(x), dtype=float), w))
 
 
 def barycenter(mu: Measure) -> float:
     """First moment: the integral of x against mu."""
-    return moment(mu, lambda x: x)
+    return moment(as_atoms(mu), lambda x: x)
 
 
 def sup_norm(mu: GridMeasure) -> float:
@@ -270,10 +269,7 @@ def wasserstein_1d(mu: Measure, nu: Measure, p: float = 1.0) -> float:
     if p < 1:
         raise ValueError("order p must be >= 1")
     ds, qa, qb = _quantile_segments(mu, nu)
-    diff = np.abs(qa - qb)
-    if p == 1.0:
-        return float(np.dot(ds, diff))
-    return float(np.dot(ds, diff ** p) ** (1.0 / p))
+    return float(np.dot(ds, np.abs(qa - qb) ** p) ** (1.0 / p))
 
 
 def translate(mu: Measure, a: float) -> Measure:

@@ -21,7 +21,7 @@ import numpy as np
 from .controller import ControllerState
 from .kernels import constant_kernel, make_kernel
 from .lyapunov import variance_about
-from .measures import GridMeasure, ParticleMeasure, SupportBall, _grid_geometry, moment
+from .measures import GridMeasure, ParticleMeasure, SupportBall, _grid_geometry, barycenter
 from .rng import default_rng
 from .solver import Dynamics, SolverConfig, TrajectoryLog, evolve
 
@@ -110,13 +110,7 @@ class ScenarioSpec:
     def validate(self) -> "ScenarioSpec":
         """Raise ValueError or KeyError on a config no run can use.  A spec with
         a ``concentration`` dict is the particle demo, any other a grid run."""
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end {self.t_end} is shorter than one step dt={self.dt}")
-        steps = self.t_end / self.dt
-        if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
-            raise ValueError(f"t_end {self.t_end} is not a whole number of steps dt={self.dt}")
+        SolverConfig(self.dt, self.t_end)  # the rules of the time grid
         if not _is_int(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.snapshot_every is not None and not (_is_finite_number(self.snapshot_every)
@@ -278,7 +272,7 @@ def run_hk(spec: ScenarioSpec, *, on_snapshot: Optional[Callable] = None
     :func:`evolve`.
     """
     mu0 = make_initial_measure(spec)
-    V = variance_about(moment(mu0, lambda x: x), spec.radius)
+    V = variance_about(barycenter(mu0), spec.radius)
     f = make_kernel(spec.kernel, epsilon=spec.epsilon)
     if spec.controller is None:
         dyn = Dynamics(f_kernel=f)

@@ -1,10 +1,10 @@
 """Time evolution of a measure under a nonlocal drift plus localized control.
 
-One loop, :func:`evolve`, serves both backends: the control fields and V are
-integrals against the atoms at the start of the step (on a grid, the cell
-centroids and masses of :func:`~mfjq.measures.as_atoms`) and are frozen over
-it.  The controller is queried once per step, and its bump is held piecewise
-constant between switch events.
+One loop, :func:`evolve`, serves both backends: the control fields, the
+controller's slopes and V are integrals against the atoms of the step's start
+(on a grid, the cell centroids and masses of :func:`~mfjq.measures.as_atoms`,
+formed once) and are frozen over the step.  The controller is queried once
+per step, and its bump is held piecewise constant between switch events.
 
 Grid measures carry each cell's mass and the centroid of that mass.  The
 interaction drift alone is evaluated on the uniform midpoints x_i, v_i =
@@ -39,6 +39,8 @@ class SupportEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The time grid: t_end is a whole number of steps dt, and every log_every-th is logged."""
+
     dt: float
     t_end: float
     snapshot_every: Optional[float] = None
@@ -46,7 +48,14 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.t_end < self.dt:
+            raise ValueError(f"t_end {self.t_end} is shorter than one step dt={self.dt}")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(f"t_end {self.t_end} is not a whole number of steps dt={self.dt}")
+        if not (type(self.log_every) is int and self.log_every >= 1):
+            raise ValueError(f"log_every must be an integer >= 1, got {self.log_every!r}")
 
 
 CSV_COLUMNS = ["t", "V", "slope", "control_a", "control_b", "control_eta",
@@ -320,7 +329,9 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     t = 0.0
     u_ctrl = u_e = None  # the held bump and its values at the edges
     for k in range(n_steps + 1):
-        ax, aw = as_atoms(mu) if grid else (mu.x, mu.weights)
+        # a grid step atomizes once, for its fields, the controller and V; a particle
+        # field reads every particle, the controller and V those with mass
+        ax, aw = atoms = as_atoms(mu) if grid else (mu.x, mu.weights)
         g_fields = [
             (lambda x, g=g: g.field_at(x, ax, aw) * ball_cutoff(x, ball, taper))
             for g in dynamics.g_kernels
@@ -328,10 +339,9 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
 
         ctrl, slope_now, u_fn, g_index = None, 0.0, None, 0
         if state is not None:
-            decision, state = decide_multi(t, mu, state, g_fields, V)
+            decision, state = decide_multi(t, atoms if grid else as_atoms(mu), state, g_fields, V)
             log.record_decision(t, decision)
-            ctrl = decision.control
-            slope_now = decision.slope
+            ctrl, slope_now = decision.control, decision.slope
             if ctrl is not None:
                 u_fn, g_index = ctrl.u, ctrl.field_index
         elif dynamics.prescribed_control is not None:
@@ -361,7 +371,8 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
                 if w_drift is not None:
                     div += np.abs(w_drift[1:] - w_drift[:-1]).max()
                 div /= mu.dx
-            log.append(t, value(V, mu), slope_now, ctrl, total_mass(mu), sup, lo, hi, div)
+            log.append(t, value(V, atoms if grid else as_atoms(mu)), slope_now, ctrl,
+                       total_mass(mu), sup, lo, hi, div)
         every = config.snapshot_every
         if every is not None and t - last_snap >= every - 1e-12:
             on_snapshot(t, mu)

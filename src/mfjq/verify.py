@@ -17,8 +17,7 @@ import numpy as np
 
 from .controller import bump_1d
 from .kernels import HKKernel, nonlocal_field
-from .lyapunov import (lie_derivative, lie_derivative_fd_oracle, value,
-                       variance_about)
+from .lyapunov import lie_derivative, lie_derivative_fd_oracle, variance_about
 from .measures import ParticleMeasure, barycenter
 from .rng import default_rng
 from .scenarios import ScenarioSpec, run_hk

@@ -14,7 +14,7 @@ from mfjq.controller import ControllerState, SlopeEvaluator, decide_multi, slope
 from mfjq.kernels import HKKernel, nonlocal_field
 from mfjq.lyapunov import (lie_derivative, lie_derivative_fd_oracle,
                            variance_about)
-from mfjq.measures import (GridMeasure, ParticleMeasure, translate,
+from mfjq.measures import (GridMeasure, ParticleMeasure, as_atoms, translate,
                            wasserstein_1d)
 from mfjq.scenarios import ScenarioSpec, run_concentration_demo, run_hk
 from mfjq.solver import Dynamics, SolverConfig, check_linf_bound, stability_probe
@@ -131,7 +131,7 @@ def test_criterion_4_control_constraints(sweep, report):
     mu = ParticleMeasure(np.array([[3.0], [-2.0]]), np.array([0.6, 0.4]))
     g1 = lambda x: np.ones_like(np.asarray(x, dtype=float))
     g2 = lambda x: 0.5 * np.ones_like(np.asarray(x, dtype=float))
-    dec, _ = decide_multi(10.0, mu, state, (g1, g2), V)
+    dec, _ = decide_multi(10.0, as_atoms(mu), state, (g1, g2), V)
     ok &= dec.control is not None and dec.control.field_index in (0, 1)
     report(4, ok, "; ".join(worst) + "; one active field per decision")
 
@@ -200,7 +200,7 @@ def test_criterion_7_explicit_slope_formula(report):
     mu = GridMeasure.uniform(-1.0, 1.0, -1.0, 1.0, 400_000)
     V = variance_about(0.0, radius=2.0)
     g = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    ev = SlopeEvaluator(mu, g, V)
+    ev = SlopeEvaluator(as_atoms(mu), g, V)
     worst = 0.0
     for a in np.linspace(-1.4, 1.0, 10):
         for b in np.linspace(-1.0, 1.4, 10):

@@ -54,10 +54,10 @@ def clip_cases(seed):
     ]
 
 
-def ungated_decide(t, mu, state, g_fields, V):
+def ungated_decide(t, atoms, state, g_fields, V):
     """(control, switched, reason) of the decision rule with its strict search
     always run."""
-    evaluators = [SlopeEvaluator(mu, g, V) for g in g_fields]
+    evaluators = [SlopeEvaluator(atoms, g, V) for g in g_fields]
 
     def enter(reason):
         found = search_maximizer(evaluators, t, state)
@@ -156,7 +156,7 @@ class TestSlopeEvaluator:
         rng = np.random.default_rng(seed)
         mu = random_particles(rng, int(rng.integers(2, 60)))
         V = variance_about(0.0, radius=6.0)
-        ev = SlopeEvaluator(mu, ones, V)
+        ev = SlopeEvaluator(as_atoms(mu), ones, V)
         a = rng.uniform(-5, 4)
         b = a + rng.uniform(0, 2)
         eta = rng.uniform(0.05, 1.0)
@@ -173,25 +173,25 @@ class TestSlopeEvaluator:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_grid_skips_the_sort(self, seed):
-        """On a grid the evaluator takes the midpoints as sorted; its prefix
-        sums are those of the argsort path on the same atoms, bit for bit."""
+        """A grid's atoms come sorted and are used as given; a shuffled copy
+        of them is sorted, and its prefix sums are the same, bit for bit."""
         rng = np.random.default_rng(seed)
         cells = rng.random(int(rng.integers(1, 200))) * (rng.random() < 0.5)
         cells[rng.integers(cells.size)] += 1.0
-        mu = GridMeasure(-6.0, 6.0, cells / cells.sum())
-        x, w = as_atoms(mu)
+        x, w = as_atoms(GridMeasure(-6.0, 6.0, cells / cells.sum()))
         shuffle = rng.permutation(x.size)
-        atoms = ParticleMeasure(x[shuffle], w[shuffle])
         g = np.sin if rng.random() < 0.5 else ones
         V = variance_about(rng.uniform(-6.0, 6.0), radius=6.0)
-        grid_ev, sorted_ev = SlopeEvaluator(mu, g, V), SlopeEvaluator(atoms, g, V)
+        grid_ev = SlopeEvaluator((x, w), g, V)
+        shuffled_ev = SlopeEvaluator((x[shuffle], w[shuffle]), g, V)
+        assert grid_ev.x is x
         for name in ("x", "c0", "c1", "p0", "n0"):
-            assert getattr(grid_ev, name).tobytes() == getattr(sorted_ev, name).tobytes(), name
+            assert getattr(grid_ev, name).tobytes() == getattr(shuffled_ev, name).tobytes(), name
 
     def test_grid_measure_atomized(self):
         mu = GridMeasure.uniform(-1.0, 1.0, -2.0, 2.0, 4000)
         V = variance_about(0.0, radius=6.0)
-        ev = SlopeEvaluator(mu, ones, V)
+        ev = SlopeEvaluator(as_atoms(mu), ones, V)
         # integral of 2x over [0, 1] with density 1/2 is 1/2
         got = ev.signed_batch(0.0, 1.0, 1e-9)
         assert got == pytest.approx(0.5, abs=1e-3)
@@ -215,7 +215,7 @@ class TestWindowBound:
             w = rng.uniform(0.1, 1.0, x.size)
             mu = ParticleMeasure(x[:, None], w / w.sum())
         g = np.sin if rng.random() < 0.5 else ones
-        ev = SlopeEvaluator(mu, g, variance_about(rng.uniform(-6.0, 6.0), radius=6.0))
+        ev = SlopeEvaluator(as_atoms(mu), g, variance_about(rng.uniform(-6.0, 6.0), radius=6.0))
         eta_min = rng.uniform(1e-3, 0.5) * c
         eta = rng.uniform(eta_min, c / 2.0, 50)
         w = rng.random(50) * (c - 2.0 * eta)
@@ -226,7 +226,7 @@ class TestWindowBound:
 
     def test_bathtub_values(self):
         mu = ParticleMeasure(np.array([[-1.0], [0.5], [1.0], [2.0]]), np.full(4, 0.25))
-        ev = SlopeEvaluator(mu, ones, variance_about(0.0, radius=6.0))
+        ev = SlopeEvaluator(as_atoms(mu), ones, variance_about(0.0, radius=6.0))
         # q*m = 2x/4: -0.5, 0.25, 0.5, 1.0
         bound, _ = ev.window_bound([-1.0, 0.5, -3.0], [0.5, 2.0, -2.0], 0.1)
         np.testing.assert_allclose(bound, [0.5, 1.75, 0.0])
@@ -248,7 +248,7 @@ class TestSlopeCeiling:
         state = ControllerState(c=rng.uniform(0.1, 3.0), h=0.5, radius=6.0,
                                 kappa=rng.uniform(0.2, 2.0))
         t = rng.uniform(0.0, 50.0)
-        evaluators = [SlopeEvaluator(mu, g, V) for g in fields]
+        evaluators = [SlopeEvaluator(as_atoms(mu), g, V) for g in fields]
         U = slope_ceiling(evaluators, t, state)
         found = search_maximizer(evaluators, t, state, strict=True)
         if found is None:
@@ -258,12 +258,28 @@ class TestSlopeCeiling:
 
     def test_dirac_meets_the_ceiling(self):
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
-        ev = SlopeEvaluator(ParticleMeasure.dirac(3.0), ones, variance_about(0.0, 10.0))
+        ev = SlopeEvaluator(as_atoms(ParticleMeasure.dirac(3.0)), ones, variance_about(0.0, 10.0))
         U = slope_ceiling([ev], 10.0, state)
         _, _, s, _ = search_maximizer([ev], 10.0, state, strict=True)
         assert s == 6.0 and 6.0 < U < 6.0 + 1e-6
         # at t = 0 strict eta_min = 2 > c/2: nothing is admissible
         assert slope_ceiling([ev], 0.0, state) == 0.0
+
+    def test_ceilings_are_python_floats(self, monkeypatch):
+        """U, the logged best - U and the largest best / U are floats, as every
+        other slope of a decision is, not numpy scalars."""
+        ceilings = []
+
+        def recorded(*args):
+            dec, state = decide_multi(*args)
+            ceilings.append(dec.ceiling)
+            return dec, state
+
+        monkeypatch.setattr(solver, "decide_multi", recorded)
+        spec = ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=6.0, cells=100)
+        log, _ = run_hk(spec)
+        values = ceilings + log.ceiling_gaps + [log.perf["max_best_over_ceiling"]]
+        assert log.ceiling_gaps and {type(v) for v in values} == {float}
 
     def test_nothing_admissible_evaluates_nothing(self, monkeypatch):
         """An idle query with an empty strict admissible set builds no
@@ -275,21 +291,21 @@ class TestSlopeCeiling:
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
         mu, V = ParticleMeasure.dirac(3.0), variance_about(0.0, 10.0)
         # at t = 0 strict eta_min = 2 > c/2
-        dec, new = decide_multi(0.0, mu, state, (ones,), V)
+        dec, new = decide_multi(0.0, as_atoms(mu), state, (ones,), V)
         assert dec.control is None and not dec.switched and dec.empty
         assert dec.ceiling == 0.0 and new is state
         with pytest.raises(AssertionError):  # at t = 10 the query evaluates
-            decide_multi(10.0, mu, state, (ones,), V)
+            decide_multi(10.0, as_atoms(mu), state, (ones,), V)
 
     def test_gate_keeps_every_decision(self, monkeypatch):
         """Along a controlled run the gated rule decides as the ungated one,
         while most queries skip their strict search."""
         searched = []
 
-        def checked(t, mu, state, g_fields, V):
-            dec, new = decide_multi(t, mu, state, g_fields, V)
+        def checked(t, atoms, state, g_fields, V):
+            dec, new = decide_multi(t, atoms, state, g_fields, V)
             assert ((dec.control, dec.switched, dec.reason)
-                    == ungated_decide(t, mu, state, g_fields, V)), t
+                    == ungated_decide(t, atoms, state, g_fields, V)), t
             assert dec.switched or dec.candidate_slope == 0.0, t
             searched.append(dec.searched_slope is not None)
             return dec, new
@@ -332,14 +348,14 @@ class TestSearchMaximizer:
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
         mu = ParticleMeasure.dirac(1.0)
         V = variance_about(0.0, radius=10.0)
-        ev = SlopeEvaluator(mu, ones, V)
+        ev = SlopeEvaluator(as_atoms(mu), ones, V)
         assert search_maximizer([ev], 0.0, state, strict=True) is None
 
     def test_finds_mass(self):
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
         mu = ParticleMeasure.dirac(3.0)
         V = variance_about(0.0, radius=10.0)
-        ev = SlopeEvaluator(mu, ones, V)
+        ev = SlopeEvaluator(as_atoms(mu), ones, V)
         params, i, s, signed = search_maximizer([ev], 10.0, state)
         assert i == 0
         assert s == pytest.approx(6.0)   # |2 * 3.0| * mass 1
@@ -352,7 +368,7 @@ class TestSearchMaximizer:
         rng = np.random.default_rng(5)
         mu = random_particles(rng, 30)
         V = variance_about(0.0, radius=6.0)
-        ev = SlopeEvaluator(mu, ones, V)
+        ev = SlopeEvaluator(as_atoms(mu), ones, V)
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
         t = 10.0
         _, _, s, _ = search_maximizer([ev], t, state)
@@ -370,7 +386,7 @@ class TestSearchMaximizer:
         sizes = count_candidates(monkeypatch)
         V = variance_about(0.0, radius=12.0)
         for name, mu, fields, state, t, strict in clip_cases(seed):
-            evaluators = [SlopeEvaluator(mu, g, V) for g in fields]
+            evaluators = [SlopeEvaluator(as_atoms(mu), g, V) for g in fields]
             sizes.clear()
             got = search_maximizer(evaluators, t, state, strict)
             n_distinct = sum(sizes)
@@ -397,8 +413,8 @@ class TestSearchMaximizer:
         which a refinement round does not score."""
         sizes = count_candidates(monkeypatch)
         _, mu, fields, state, t, strict = clip_cases(0)[0]
-        params, *_ = search_maximizer([SlopeEvaluator(mu, fields[0], variance_about(0.0, 12.0))],
-                                      t, state, strict)
+        ev = SlopeEvaluator(as_atoms(mu), fields[0], variance_about(0.0, 12.0))
+        params, *_ = search_maximizer([ev], t, state, strict)
         assert params.eta == state.eta_min(t, strict)
         assert len(sizes) == 4  # the probe, the coarse round and two refinement rounds
         assert all(n < N_A * N_W * N_ETA / 4 for n in sizes[2:]), sizes
@@ -418,7 +434,7 @@ class TestSearchMaximizer:
              (ones, np.sin), state, 10.0, False),
         ]
         for name, mu, fields, state, t, strict in cases:
-            evaluators = [SlopeEvaluator(mu, g, V) for g in fields]
+            evaluators = [SlopeEvaluator(as_atoms(mu), g, V) for g in fields]
             sizes.clear()
             got = search_maximizer(evaluators, t, state, strict)
             n_pruned = sum(sizes)
@@ -440,7 +456,8 @@ class TestSearchMaximizer:
         rng = np.random.default_rng(3)
         mu = random_particles(rng, 50, span=3.3, lo=3.0)
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
-        search_maximizer([SlopeEvaluator(mu, ones, variance_about(0.0, 6.0))], 10.0, state)
+        ev = SlopeEvaluator(as_atoms(mu), ones, variance_about(0.0, 6.0))
+        search_maximizer([ev], 10.0, state)
         assert sizes[0] == N_A  # the probe
         assert sizes[1] < N_A * N_W * N_ETA / 4, sizes
 
@@ -449,7 +466,7 @@ class TestSearchMaximizer:
         mu = random_particles(rng, 25)
         V = variance_about(0.0, radius=6.0)
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
-        outs = [search_maximizer([SlopeEvaluator(mu, ones, V)], 5.0, state)
+        outs = [search_maximizer([SlopeEvaluator(as_atoms(mu), ones, V)], 5.0, state)
                 for _ in range(2)]
         assert outs[0][0].a == outs[1][0].a
         assert outs[0][2] == outs[1][2]
@@ -467,7 +484,7 @@ class TestStateMachine:
         state = self.mk_state()
         mu = ParticleMeasure.dirac(0.0)
         V = variance_about(0.0, radius=10.0)
-        dec, new = decide_multi(5.0, mu, state, (ones,), V)
+        dec, new = decide_multi(5.0, as_atoms(mu), state, (ones,), V)
         assert dec.control is None and not dec.switched
         assert new is state
 
@@ -476,7 +493,7 @@ class TestStateMachine:
         mu = ParticleMeasure.dirac(3.0)
         V = variance_about(0.0, radius=10.0)
         t = 10.0  # phi3 = 2/11 << slope 6
-        dec, new = decide_multi(t, mu, state, (ones,), V)
+        dec, new = decide_multi(t, as_atoms(mu), state, (ones,), V)
         assert dec.control is not None and dec.switched and dec.reason == "entry"
         assert dec.control.sign == -1   # push mass at x > 0 toward 0
         assert new.active is dec.control
@@ -486,7 +503,7 @@ class TestStateMachine:
         # tiny slope: atom very close to the variance center
         mu = ParticleMeasure(np.array([[0.01], [-0.01]]), np.array([0.5, 0.5]))
         V = variance_about(0.0, radius=10.0)
-        dec, new = decide_multi(10.0, mu, state, (ones,), V)
+        dec, new = decide_multi(10.0, as_atoms(mu), state, (ones,), V)
         assert dec.control is None and not dec.switched
 
     def test_hold_between_thresholds(self):
@@ -494,9 +511,9 @@ class TestStateMachine:
         V = variance_about(0.0, radius=10.0)
         mu = ParticleMeasure.dirac(3.0)
         state = self.mk_state(h=0.5)
-        dec, state = decide_multi(10.0, mu, state, (ones,), V)
+        dec, state = decide_multi(10.0, as_atoms(mu), state, (ones,), V)
         ctrl = dec.control
-        dec2, state2 = decide_multi(10.01, mu, state, (ones,), V)
+        dec2, state2 = decide_multi(10.01, as_atoms(mu), state, (ones,), V)
         assert dec2.control is ctrl  # frozen, not re-searched
         assert not dec2.switched and dec2.reason is None
         assert dec2.current_slope == pytest.approx(6.0)
@@ -506,11 +523,11 @@ class TestStateMachine:
         V = variance_about(0.0, radius=10.0)
         state = self.mk_state(h=0.5)
         mu = ParticleMeasure.dirac(3.0)
-        dec, state = decide_multi(10.0, mu, state, (ones,), V)
+        dec, state = decide_multi(10.0, as_atoms(mu), state, (ones,), V)
         old = dec.control
         # mass teleports far away: old bump now covers nothing
         mu2 = ParticleMeasure(np.array([[3.0], [-8.0]]), np.array([0.01, 0.99]))
-        dec2, state2 = decide_multi(10.01, mu2, state, (ones,), V)
+        dec2, state2 = decide_multi(10.01, as_atoms(mu2), state, (ones,), V)
         assert dec2.switched and dec2.reason == "challenger"
         assert dec2.control is not None and dec2.control is not old
         assert dec2.current_slope <= (1.0 - state.h) * dec2.candidate_slope + 1e-9
@@ -519,10 +536,10 @@ class TestStateMachine:
         V = variance_about(0.0, radius=10.0)
         state = self.mk_state()
         mu = ParticleMeasure.dirac(3.0)
-        dec, state = decide_multi(10.0, mu, state, (ones,), V)
+        dec, state = decide_multi(10.0, as_atoms(mu), state, (ones,), V)
         # all mass reaches the center: active slope drops to 0 <= phi1
         mu2 = ParticleMeasure.dirac(0.0)
-        dec2, state2 = decide_multi(10.5, mu2, state, (ones,), V)
+        dec2, state2 = decide_multi(10.5, as_atoms(mu2), state, (ones,), V)
         assert dec2.switched and dec2.control is None and dec2.reason == "below_phi1"
         assert state2.active is None
 
@@ -531,7 +548,7 @@ class TestStateMachine:
         state = self.mk_state()
         mu = ParticleMeasure.dirac(3.0)
         half = lambda x: 0.5 * ones(x)
-        dec, _ = decide_multi(10.0, mu, state, (half, ones), V)
+        dec, _ = decide_multi(10.0, as_atoms(mu), state, (half, ones), V)
         # stronger gain wins; exactly one field is active
         assert dec.control.field_index == 1
 
@@ -542,7 +559,7 @@ class TestStateMachine:
         for k in range(30):
             mu = random_particles(rng, 20)
             t = 2.0 + 0.1 * k
-            dec, state = decide_multi(t, mu, state, (ones,), V)
+            dec, state = decide_multi(t, as_atoms(mu), state, (ones,), V)
             if dec.control is not None:
                 p = dec.control.params
                 assert p.volume <= state.c + 1e-12

@@ -90,7 +90,7 @@ class TestGridMeasure:
         np.testing.assert_allclose(mu.centroids, [1.0, 1.25])
         assert barycenter(mu) == pytest.approx(0.75 * 1.0 + 0.25 * 1.25)
         # moments are taken over the centroids; translation keeps the offsets
-        assert moment(mu, lambda x: x) == pytest.approx(0.75 * 1.0 + 0.25 * 1.25)
+        assert moment(as_atoms(mu), lambda x: x) == pytest.approx(0.75 * 1.0 + 0.25 * 1.25)
         assert barycenter(translate(mu, 2.0)) == pytest.approx(barycenter(mu) + 2.0)
         np.testing.assert_array_equal(GridMeasure(0.0, 2.0, mu.cell_mass).offset, 0.0)
 
@@ -178,7 +178,7 @@ def test_as_atoms_drops_zero_mass():
 def test_moment_midpoint_quadrature():
     mu = GridMeasure.uniform(-1.0, 1.0, -1.0, 1.0, 400)
     # second moment of uniform on [-1,1] is 1/3; midpoint rule is O(dx^2)
-    assert moment(mu, lambda x: x * x) == pytest.approx(1.0 / 3.0, abs=1e-4)
+    assert moment(as_atoms(mu), lambda x: x * x) == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
 def test_support_bounds_grid():

@@ -210,8 +210,9 @@ class TestConcentration:
         assert np.max(np.abs(u(np.linspace(-1, 2, 500)))) <= 1.0
 
     def test_small_demo_concentrates(self):
+        # 237 steps of dt: the demo's t_end = 0.475 is not a whole number of them
         spec = ScenarioSpec.builtin("concentration").apply_overrides(
-            dt=2e-3, concentration=dict(c=0.5, n_particles=500))
+            dt=2e-3, t_end=0.474, concentration=dict(c=0.5, n_particles=500))
         log, rep = run_concentration_demo(spec)
         # population budget respected throughout
         assert rep["omega_mass"].max() <= 0.5 + 1e-3

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfjq import controller, kernels, lyapunov, measures, solver
 from mfjq.controller import ControllerState
 from mfjq.kernels import HKKernel, ball_cutoff, constant_kernel
 from mfjq.lyapunov import variance_about
-from mfjq.measures import (GridMeasure, ParticleMeasure, SupportBall,
+from mfjq.measures import (GridMeasure, ParticleMeasure, SupportBall, as_atoms,
                            barycenter, total_mass, wasserstein_1d)
-from mfjq.scenarios import ScenarioSpec, make_initial_measure
+from mfjq.scenarios import ScenarioSpec, make_initial_measure, run_hk
 from mfjq.solver import (CSV_COLUMNS, Dynamics, SolverConfig,
                          SupportEscapeError, TrajectoryLog, check_linf_bound,
                          evolve, stability_probe, stencil_velocity, step_grid,
@@ -296,6 +297,25 @@ class TestEvolve:
         assert log.n_switches >= 1
         assert log.V[-1] < log.V[0]
 
+    def test_one_atomization_per_grid_step(self, monkeypatch):
+        """A controlled grid step forms its atoms once: the control field, the
+        controller and the logged V all read the same two arrays."""
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return as_atoms(mu)
+
+        for module in (measures, kernels, lyapunov, controller, solver):
+            monkeypatch.setattr(module, "as_atoms", counted)
+        # the queries before t = 1.5 have nothing strictly admissible; the
+        # controller enters at t = 1.5
+        spec = ScenarioSpec.builtin("hk_ctrl_h05").apply_overrides(t_end=2.0, cells=100)
+        log, _ = run_hk(spec)
+        assert log.perf["idle_queries_skipped"] == 150 and log.n_switches > 0
+        # one per step, t = 0 to 2, and one for the barycenter V is centred at
+        assert len(calls) == 201 + 1
+
 
 class TestTrajectoryLog:
     def test_csv_columns(self, tmp_path):
@@ -424,3 +444,21 @@ class TestStabilityProbe:
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, t_end=1.0)
+    bad = [(dict(dt=-0.1, t_end=1.0), "dt must be positive"),
+           (dict(dt=float("nan"), t_end=1.0), "dt must be positive"),
+           (dict(dt=0.01, t_end=-1.0), "shorter than one step"),
+           (dict(dt=0.01, t_end=0.005), "shorter than one step"),
+           (dict(dt=0.01, t_end=0.015), "not a whole number of steps"),
+           (dict(dt=0.01, t_end=float("inf")), "not a whole number of steps"),
+           (dict(dt=0.01, t_end=float("nan")), "not a whole number of steps"),
+           (dict(dt=0.01, t_end=1.0, log_every=0), "log_every must be an integer >= 1"),
+           (dict(dt=0.01, t_end=1.0, log_every=2.0), "log_every must be an integer >= 1"),
+           (dict(dt=0.01, t_end=1.0, log_every=True), "log_every must be an integer >= 1")]
+    for kw, message in bad:
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**kw)
+    # whole up to roundoff: 0.3 / 0.1 is 2.9999999999999996
+    cfg = SolverConfig(dt=0.1, t_end=0.3, log_every=2)
+    log = evolve(ParticleMeasure.dirac(0.0), Dynamics(f_kernel=None), cfg,
+                 SupportBall(1.0), variance_about(0.0, 1.0))
+    assert log.t.tolist() == [0.0, 0.2, 0.30000000000000004]
