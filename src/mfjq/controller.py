@@ -161,14 +161,12 @@ class SlopeEvaluator:
         allowance = float(1e-9 * (self.p0[-1] + self.n0[-1]) * (1.0 + reach / eta_min))
         return bound, allowance
 
-    def slope(self, params: BumpParams) -> float:
-        return abs(float(self.signed_batch(params.a, params.b, params.eta)))
-
 
 def slope(mu: Measure, g_field: Callable, V: MomentFunctional,
           params: BumpParams) -> float:
     """|rate of V along bump(params) * g| for a frozen measure snapshot."""
-    return SlopeEvaluator(as_atoms(mu), g_field, V).slope(params)
+    ev = SlopeEvaluator(as_atoms(mu), g_field, V)
+    return abs(float(ev.signed_batch(params.a, params.b, params.eta)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +191,8 @@ class ControllerState:
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
             raise ValueError("hysteresis h must lie in (0, 1)")
-        if not self.c > 0:
-            raise ValueError("sparsity budget c must be positive")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError(f"sparsity budget c must be finite and positive, got {self.c}")
         if not self.kappa > 0:
             raise ValueError("threshold scale kappa must be positive")
 
@@ -219,7 +217,7 @@ class ControlDecision:
     control: Optional[ActiveControl]
     switched: bool
     slope: float = 0.0            # slope of the control applied, 0 when idle
-    current_slope: float = 0.0    # slope of the previously active bump
+    current_slope: float = 0.0    # rate at which the bump in force decreased V; < 0 if it raised V
     # at a switch the challenger's slope, else the new bump's; 0 without a switch
     candidate_slope: float = 0.0
     ceiling: float = 0.0          # U: no strictly admissible bump is steeper
@@ -354,12 +352,12 @@ def decide_multi(t: float, atoms: Atoms, state: ControllerState,
     """One controller query on atoms (x, w); at most one field active at any time.
 
     Idle mode waits until some strictly admissible bump has slope >= phi3(t);
-    active mode holds the frozen bump until its slope drops to phi1(t) or a
-    strictly admissible challenger beats it by the hysteresis factor
-    1/(1 - h).  Both exits funnel through a fresh steepest-descent search.
-    The strict search runs only when the ceiling U leaves the decision open,
-    and an idle query with nothing strictly admissible (U = 0) evaluates
-    nothing.
+    active mode holds the frozen bump until the rate at which it decreases V
+    drops to phi1(t) or a strictly admissible challenger beats it by the
+    hysteresis factor 1/(1 - h).  Both exits funnel through a fresh
+    steepest-descent search.  The strict search runs only when the ceiling U
+    leaves the decision open, and an idle query with nothing strictly
+    admissible (U = 0) evaluates nothing.
     """
     ctrl = state.active
     if ctrl is None and state.eta_min(t, strict=True) > state.c / 2.0:
@@ -373,7 +371,9 @@ def decide_multi(t: float, atoms: Atoms, state: ControllerState,
             best = search_maximizer(evaluators, t, state, strict=True)[2]
             reason = "entry" if best >= state.phi3(t) else None
     else:
-        s_cur = evaluators[ctrl.field_index].slope(ctrl.params)
+        # the rate at which the held bump decreases V (0.0 - turns a rate of -0.0 into 0.0)
+        p, ev = ctrl.params, evaluators[ctrl.field_index]
+        s_cur = 0.0 - ctrl.sign * float(ev.signed_batch(p.a, p.b, p.eta))
         if s_cur <= state.phi1(t):
             reason = "below_phi1"
         elif not s_cur > (1.0 - state.h) * U:  # else no challenger can beat the margin

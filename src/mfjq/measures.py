@@ -30,8 +30,8 @@ class SupportBall:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"support ball radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"support ball radius must be finite and positive, got {self.radius}")
 
 
 @dataclass(frozen=True)

@@ -367,9 +367,9 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
             if grid:
                 sup = sup_norm(mu)
                 # the two velocities the step uses: drift at midpoints, control at edges
-                div = np.abs(v_e[1:] - v_e[:-1]).max()
+                div = np.abs(v_e[1:] - v_e[:-1]).max(initial=0.0)
                 if w_drift is not None:
-                    div += np.abs(w_drift[1:] - w_drift[:-1]).max()
+                    div += np.abs(w_drift[1:] - w_drift[:-1]).max(initial=0.0)
                 div /= mu.dx
             log.append(t, value(V, atoms if grid else as_atoms(mu)), slope_now, ctrl,
                        total_mass(mu), sup, lo, hi, div)

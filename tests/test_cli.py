@@ -99,6 +99,14 @@ class TestRun:
         assert {sw["reason"] for sw in switches} <= {"entry", "below_phi1", "challenger"}
         assert [sw["t"] for sw in switches] == sorted(sw["t"] for sw in switches)
 
+    @pytest.mark.parametrize("scenario", ["hk_free", "hk_ctrl_h05"])
+    def test_one_cell_runs(self, tmp_path, scenario):
+        """A lone cell has no neighbour: its divergence bound is 0, not an error."""
+        out = tmp_path / "o"
+        assert run_cli(["run", "--scenario", scenario, "--cells", "1", "--t-end", "0.05",
+                        "--out", str(out)]) == 0
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 7
+
     def test_config_file_run(self, tmp_path):
         spec = ScenarioSpec.builtin("hk_free").apply_overrides(
             t_end=0.5, cells=80)
@@ -292,6 +300,8 @@ class TestRun:
         pytest.param("hk_free", {"kernel_params": {"value": 3, "bogus": 1}}, (),
                      id="kernel-params"),
         pytest.param("hk_free", {"radius": 0}, (), id="radius-zero"),
+        pytest.param("hk_free", {"radius": float("inf")}, (), id="radius-inf"),
+        pytest.param("hk_ctrl_h05", {}, ("--c", "inf"), id="budget-c-inf"),
         pytest.param("hk_free", {"domain": [5, -5]}, (), id="domain-reversed"),
         pytest.param("hk_free", {"domain": "ab"}, (), id="domain-not-numbers"),
         pytest.param("hk_free", {"interval": [10, 0]}, (), id="interval-reversed"),

@@ -71,7 +71,8 @@ def ungated_decide(t, atoms, state, g_fields, V):
     ctrl = state.active
     if ctrl is None:
         return enter("entry") if best >= state.phi3(t) else (None, False, None)
-    s_cur = evaluators[ctrl.field_index].slope(ctrl.params)
+    p = ctrl.params
+    s_cur = -ctrl.sign * float(evaluators[ctrl.field_index].signed_batch(p.a, p.b, p.eta))
     if s_cur <= state.phi1(t):
         return enter("below_phi1")
     if s_cur <= (1.0 - state.h) * best:
@@ -339,6 +340,8 @@ class TestAdmissible:
         with pytest.raises(ValueError):
             ControllerState(c=-1.0, h=0.5, radius=10.0)
         with pytest.raises(ValueError):
+            ControllerState(c=np.inf, h=0.5, radius=10.0)
+        with pytest.raises(ValueError):
             ControllerState(c=2.0, h=0.5, radius=10.0, kappa=0.0)
 
 
@@ -542,6 +545,18 @@ class TestStateMachine:
         dec2, state2 = decide_multi(10.5, as_atoms(mu2), state, (ones,), V)
         assert dec2.switched and dec2.control is None and dec2.reason == "below_phi1"
         assert state2.active is None
+
+    def test_held_bump_raising_V_is_dropped(self):
+        """The hold reads the signed rate: a bump whose mass sits on the other
+        side of V's centre raises V, and is dropped however steep it is."""
+        V = variance_about(0.0, radius=10.0)
+        held = ActiveControl(BumpParams(-1.5, -0.5, 0.25), -1)  # pushes x = -1 outward
+        state = self.mk_state(active=held)
+        dec, new = decide_multi(10.0, as_atoms(ParticleMeasure.dirac(-1.0)), state, (ones,), V)
+        assert dec.switched and dec.reason == "below_phi1"
+        # V' = 2x = -2 at the mass and u g = -1 there, so V rises at rate 2
+        assert dec.current_slope == -2.0
+        assert dec.control.sign == 1 and new.active is dec.control
 
     def test_multi_field_single_active(self):
         V = variance_about(0.0, radius=10.0)
