@@ -3,16 +3,15 @@
 __version__ = "0.1.0"
 
 from .measures import (GridMeasure, ParticleMeasure, SupportBall, barycenter,
-                       moment, sup_norm, total_mass, translate, wasserstein_1d)
+                       moment, sup_norm, total_mass, wasserstein_1d)
 from .kernels import (HKKernel, InteractionKernel, constant_kernel, make_kernel,
                       nonlocal_field)
 from .lyapunov import (MomentFunctional, lie_derivative,
                        lie_derivative_fd_oracle, value, variance_about)
 from .controller import (ActiveControl, BumpParams, ControlDecision,
                          ControllerState, bump_1d, decide_multi,
-                         search_maximizer, slope)
+                         search_maximizer)
 from .solver import (Dynamics, SolverConfig, SupportEscapeError, TrajectoryLog,
-                     check_linf_bound, evolve, stability_probe, step_grid,
-                     step_particles)
+                     check_linf_bound, evolve, step_grid, step_particles)
 from .scenarios import (ClusterReport, ScenarioSpec, detect_clusters,
                         run_concentration_demo, run_hk)

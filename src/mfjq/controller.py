@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lyapunov import MomentFunctional
-from .measures import Atoms, Measure, as_atoms
+from .measures import Atoms
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +69,6 @@ class BumpParams:
             raise ValueError("bump requires a <= b")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-
-    @property
-    def volume(self) -> float:
-        """Length of the support omega = [a - eta, b + eta]."""
-        return self.b - self.a + 2.0 * self.eta
-
-    @property
-    def omega(self) -> tuple[float, float]:
-        return self.a - self.eta, self.b + self.eta
 
 
 @dataclass(frozen=True)
@@ -162,13 +153,6 @@ class SlopeEvaluator:
         return bound, allowance
 
 
-def slope(mu: Measure, g_field: Callable, V: MomentFunctional,
-          params: BumpParams) -> float:
-    """|rate of V along bump(params) * g| for a frozen measure snapshot."""
-    ev = SlopeEvaluator(as_atoms(mu), g_field, V)
-    return abs(float(ev.signed_batch(params.a, params.b, params.eta)))
-
-
 # ---------------------------------------------------------------------------
 # Controller state machine
 # ---------------------------------------------------------------------------
@@ -193,8 +177,8 @@ class ControllerState:
             raise ValueError("hysteresis h must lie in (0, 1)")
         if not 0.0 < self.c < np.inf:
             raise ValueError(f"sparsity budget c must be finite and positive, got {self.c}")
-        if not self.kappa > 0:
-            raise ValueError("threshold scale kappa must be positive")
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"threshold scale kappa must be finite and positive, got {self.kappa}")
 
     # Threshold schedule: finite at t = 0, decreasing to 0, with
     # phi_1 < phi_2 < phi_3 at every time.

@@ -8,6 +8,7 @@ cell midpoints instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -109,8 +110,10 @@ class HKKernel:
     epsilon: float = 0.05
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("mollification width epsilon must be positive")
+        # phi's ramp forms 1/eps; an infinite one makes inf - inf = NaN taps
+        if not (self.epsilon > 0 and math.isfinite(1.0 / float(self.epsilon))):
+            raise ValueError(f"mollification width epsilon must be positive with a finite "
+                             f"reciprocal, got {self.epsilon}")
 
     def phi(self, r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))

@@ -14,7 +14,7 @@ atoms; the sup-norm reads the piecewise-constant density.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -270,11 +270,3 @@ def wasserstein_1d(mu: Measure, nu: Measure, p: float = 1.0) -> float:
         raise ValueError("order p must be >= 1")
     ds, qa, qb = _quantile_segments(mu, nu)
     return float(np.dot(ds, np.abs(qa - qb) ** p) ** (1.0 / p))
-
-
-def translate(mu: Measure, a: float) -> Measure:
-    """Exact translation by a (grid coordinates shift, atoms move)."""
-    if isinstance(mu, GridMeasure):
-        return replace(mu, x_min=mu.x_min + a, x_max=mu.x_max + a)
-    return ParticleMeasure(mu.x + a, mu.weights)
-

@@ -417,33 +417,3 @@ def check_linf_bound(log: TrajectoryLog) -> dict:
         global_ok = bool(np.all(np.log(sup) <= log_bound + math.log(sup[0]) + 1e-9))
     return dict(ok=not violations and global_ok, violations=violations,
                 global_bound_ok=global_ok, slack=slack)
-
-
-def stability_probe(mu0: Measure, nu0: Measure, dynamics: Dynamics,
-                    config: SolverConfig, ball: SupportBall,
-                    V: MomentFunctional) -> dict:
-    """Co-evolve two initial data and fit the exponential growth rate of W_1."""
-    from .measures import wasserstein_1d
-
-    log_mu = evolve(mu0, dynamics, config, ball, V)
-    log_nu = evolve(nu0, dynamics, config, ball, V)
-    times = np.array([t for t, _ in _resnap(log_mu)])
-    w1 = np.array([wasserstein_1d(m, n, 1.0)
-                   for (_, m), (_, n) in zip(_resnap(log_mu), _resnap(log_nu))])
-    mask = w1 > 0
-    if mask.sum() >= 2:
-        ts, ys = times[mask], np.log(w1[mask])
-        A = np.vstack([ts, np.ones_like(ts)]).T
-        coef, res, *_ = np.linalg.lstsq(A, ys, rcond=None)
-        rate = float(coef[0])
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else float(1.0 - (res[0] if res.size else 0.0) / ss_tot)
-    else:
-        rate, r2 = 0.0, 1.0
-    return dict(t=times, w1=w1, rate=rate, r_squared=r2)
-
-
-def _resnap(log: TrajectoryLog):
-    if not log.snapshots:
-        raise ValueError("stability probe needs snapshot_every set in the config")
-    return log.snapshots

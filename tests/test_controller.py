@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from mfjq import controller, solver
 from mfjq.controller import (N_A, N_ETA, N_W, ActiveControl, BumpParams,
                              ControllerState, SlopeEvaluator, bump_1d,
-                             decide_multi, search_maximizer, slope, slope_ceiling)
+                             decide_multi, search_maximizer, slope_ceiling)
 from mfjq.lyapunov import variance_about
 from mfjq.measures import GridMeasure, ParticleMeasure, as_atoms
 from mfjq.scenarios import ScenarioSpec, run_hk
+
+from helpers import slope
 
 
 def ones(x):
@@ -128,8 +130,8 @@ class TestBump:
 class TestBumpParams:
     def test_volume_1d(self):
         p = BumpParams(np.array([0.0]), np.array([1.0]), 0.25)
-        assert p.volume == pytest.approx(1.5)
-        assert p.omega == (-0.25, 1.25)
+        assert p.b - p.a + 2 * p.eta == pytest.approx(1.5)
+        assert (p.a - p.eta, p.b + p.eta) == (-0.25, 1.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -146,7 +148,7 @@ def test_control_function_contract():
     x = np.linspace(-1, 2, 301)
     assert np.max(np.abs(u(x))) <= 1.0
     np.testing.assert_array_equal(u(x), -bump_1d(0.0, 1.0, 0.2, x))
-    assert p.volume == pytest.approx(1.4)
+    assert p.b - p.a + 2 * p.eta == pytest.approx(1.4)
     assert u(np.array([0.5]))[0] == -1.0
 
 
@@ -343,6 +345,8 @@ class TestAdmissible:
             ControllerState(c=np.inf, h=0.5, radius=10.0)
         with pytest.raises(ValueError):
             ControllerState(c=2.0, h=0.5, radius=10.0, kappa=0.0)
+        with pytest.raises(ValueError):
+            ControllerState(c=2.0, h=0.5, radius=10.0, kappa=np.inf)
 
 
 class TestSearchMaximizer:
@@ -363,7 +367,7 @@ class TestSearchMaximizer:
         assert i == 0
         assert s == pytest.approx(6.0)   # |2 * 3.0| * mass 1
         assert signed == pytest.approx(6.0)
-        lo, hi = params.omega
+        lo, hi = params.a - params.eta, params.b + params.eta
         assert lo <= 3.0 <= hi
 
     def test_against_finer_scan(self):
@@ -577,6 +581,6 @@ class TestStateMachine:
             dec, state = decide_multi(t, as_atoms(mu), state, (ones,), V)
             if dec.control is not None:
                 p = dec.control.params
-                assert p.volume <= state.c + 1e-12
+                assert p.b - p.a + 2 * p.eta <= state.c + 1e-12
                 assert abs(dec.control.sign) == 1
                 assert 1.0 / p.eta <= state.kappa * (1.0 + t) + 1e-9

@@ -30,6 +30,9 @@ class TestHKPhi:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             HKKernel(0.0)
+        with pytest.raises(ValueError):
+            HKKernel(1e-320)  # 1/eps overflows to inf
+        HKKernel(1e-308)  # 1/eps = 1e308 is finite, and such a run works
 
 
 class TestHKField:

@@ -9,7 +9,9 @@ from scipy.optimize import linprog
 
 from mfjq.measures import (GridMeasure, ParticleMeasure, as_atoms, barycenter,
                            moment, sup_norm, support_bounds, total_mass,
-                           translate, wasserstein_1d, write_csv)
+                           wasserstein_1d, write_csv)
+
+from helpers import translate
 
 
 def random_particles(rng, n, span=5.0):

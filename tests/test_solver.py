@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfjq import controller, kernels, lyapunov, measures, solver
+from mfjq import kernels, lyapunov, measures, solver
 from mfjq.controller import ControllerState
 from mfjq.kernels import HKKernel, ball_cutoff, constant_kernel
 from mfjq.lyapunov import variance_about
@@ -13,9 +13,10 @@ from mfjq.measures import (GridMeasure, ParticleMeasure, SupportBall, as_atoms,
 from mfjq.scenarios import ScenarioSpec, make_initial_measure, run_hk
 from mfjq.solver import (CSV_COLUMNS, Dynamics, SolverConfig,
                          SupportEscapeError, TrajectoryLog, check_linf_bound,
-                         evolve, stability_probe, stencil_velocity, step_grid,
-                         step_particles)
+                         evolve, stencil_velocity, step_grid, step_particles)
 from mfjq.verify import audit_constraints_log
+
+from helpers import stability_probe
 
 
 def grid_uniform(lo, hi, n=200, x_min=-6.0, x_max=6.0):
@@ -306,7 +307,8 @@ class TestEvolve:
             calls.append(mu)
             return as_atoms(mu)
 
-        for module in (measures, kernels, lyapunov, controller, solver):
+        # the controller takes atoms and has no as_atoms of its own
+        for module in (measures, kernels, lyapunov, solver):
             monkeypatch.setattr(module, "as_atoms", counted)
         # the queries before t = 1.5 have nothing strictly admissible; the
         # controller enters at t = 1.5
