@@ -11,7 +11,7 @@ from .lyapunov import (MomentFunctional, lie_derivative,
 from .controller import (ActiveControl, BumpParams, ControlDecision,
                          ControllerState, bump_1d, decide_multi,
                          search_maximizer)
-from .solver import (Dynamics, SolverConfig, SupportEscapeError, TrajectoryLog,
-                     check_linf_bound, evolve, step_grid, step_particles)
+from .solver import (SolverConfig, SupportEscapeError, TrajectoryLog, check_linf_bound,
+                     evolve, step_grid, step_particles)
 from .scenarios import (ClusterReport, ScenarioSpec, detect_clusters,
                         run_concentration_demo, run_hk)

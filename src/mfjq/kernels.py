@@ -118,7 +118,8 @@ class HKKernel:
     def phi(self, r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
         eps = self.epsilon
-        ramp = -r / eps + 1.0 + 1.0 / eps
+        with np.errstate(over="ignore"):  # a tiny eps sends r / eps to inf, which clips to 0
+            ramp = -r / eps + 1.0 + 1.0 / eps
         return np.where(r < 1.0, 1.0, ramp.clip(0.0, 1.0))
 
     def interaction(self) -> InteractionKernel:

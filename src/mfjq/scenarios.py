@@ -19,11 +19,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controller import ControllerState
-from .kernels import constant_kernel, make_kernel
+from .kernels import make_kernel
 from .lyapunov import variance_about
 from .measures import GridMeasure, ParticleMeasure, SupportBall, _grid_geometry, barycenter
 from .rng import default_rng
-from .solver import Dynamics, SolverConfig, TrajectoryLog, evolve
+from .solver import SolverConfig, TrajectoryLog, evolve
 
 BUILTIN_SCENARIOS = ("hk_free", "hk_ctrl_h02", "hk_ctrl_h05", "hk_ctrl_h09",
                      "concentration")
@@ -163,15 +163,25 @@ class ScenarioSpec:
         elif not _interval_cells(self).any():
             raise ValueError(f"interval {list(self.interval)} holds no cell centre "
                              f"of the {self.n_cells}-cell grid on {list(self.domain)}")
-        SupportBall(self.radius)
+        ball = SupportBall(self.radius)
+        # the zero-flux faces sit where the tapered fields vanish, and mass that
+        # leaves the ball is seen only while the ball lies on the grid
+        if not (self.domain[0] <= -ball.radius and ball.radius <= self.domain[1]):
+            raise ValueError(f"domain {list(self.domain)} must contain the support ball "
+                             f"[{-ball.radius}, {ball.radius}]")
+        if self.initial_density is None and not (
+                self.domain[0] <= self.interval[0] and self.interval[1] <= self.domain[1]):
+            raise ValueError(f"interval {list(self.interval)} must lie inside "
+                             f"domain {list(self.domain)}")
         if self.kernel_params:
             raise ValueError("kernel_params must be empty (the hk kernel reads only "
                              f"epsilon), got {self.kernel_params!r}")
         if not (_is_finite_number(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon!r}")
         make_kernel(self.kernel, epsilon=self.epsilon)
-        if not (_is_finite_number(self.cluster_mass_floor) and self.cluster_mass_floor >= 0):
-            raise ValueError("cluster_mass_floor must be a finite number >= 0, "
+        # a cell holds at most the total mass 1, so a floor of 1 finds no cluster
+        if not (_is_finite_number(self.cluster_mass_floor) and 0 <= self.cluster_mass_floor < 1):
+            raise ValueError("cluster_mass_floor must be a number in [0, 1), "
                              f"got {self.cluster_mass_floor!r}")
         if self.controller is not None:
             _controller_state(self)
@@ -266,21 +276,16 @@ def run_hk(spec: ScenarioSpec, *, on_snapshot: Optional[Callable] = None
            ) -> tuple[TrajectoryLog, ClusterReport]:
     """Bounded-confidence evolution; reports the opinion clusters at t_end.
 
-    With ``spec.controller`` set, the sparse feedback acts through a constant
-    control kernel, and the log's meta records ``consensus_time``, the first
-    time V drops below 1% of V(0).  ``on_snapshot`` is passed to
-    :func:`evolve`.
+    With ``spec.controller`` set, the sparse feedback runs, and the log's
+    meta records ``consensus_time``, the first time V drops below 1% of
+    V(0).  ``on_snapshot`` is passed to :func:`evolve`.
     """
     mu0 = make_initial_measure(spec)
     V = variance_about(barycenter(mu0), spec.radius)
-    f = make_kernel(spec.kernel, epsilon=spec.epsilon)
-    if spec.controller is None:
-        dyn = Dynamics(f_kernel=f)
-    else:
-        dyn = Dynamics(f_kernel=f, g_kernels=(constant_kernel(1.0),),
-                       controller=_controller_state(spec))
+    state = None if spec.controller is None else _controller_state(spec)
     config = SolverConfig(dt=spec.dt, t_end=spec.t_end, snapshot_every=spec.snapshot_every)
-    log = evolve(mu0, dyn, config, SupportBall(spec.radius), V, on_snapshot=on_snapshot)
+    log = evolve(mu0, make_kernel(spec.kernel, epsilon=spec.epsilon), config,
+                 SupportBall(spec.radius), V, controller=state, on_snapshot=on_snapshot)
     if spec.controller is not None:
         below = np.flatnonzero(log.V < 0.01 * log.V[0])
         log.meta["consensus_time"] = float(log.t[below[0]]) if below.size else None
@@ -327,9 +332,8 @@ def run_concentration_demo(spec: ScenarioSpec, *, on_snapshot: Optional[Callable
     ``concentration`` dict gives c, ``n_particles`` (default 5000) and
     ``n_intervals`` of the schedule (default 20); the run steps by ``dt`` to
     ``t_end``.  The report's series are computed from each snapshot as it is
-    taken, every ``snapshot_every`` from t = 0, and its ``final`` is the last
-    snapshot.  The log keeps no snapshot; each one is also passed to
-    ``on_snapshot(t, mu)`` when that is given.
+    taken, every ``snapshot_every`` from t = 0.  The log keeps no snapshot;
+    each one is also passed to ``on_snapshot(t, mu)`` when that is given.
     """
     conc = spec.concentration
     c = conc["c"]
@@ -348,16 +352,12 @@ def run_concentration_demo(spec: ScenarioSpec, *, on_snapshot: Optional[Callable
     x0 = (np.arange(n_particles) + 0.5) / n_particles
     mu0 = ParticleMeasure(x0, np.full(n_particles, 1.0 / n_particles))
     V = variance_about(0.0, radius=2.0)
-    dyn = Dynamics(f_kernel=None, g_kernels=(constant_kernel(1.0),),
-                   prescribed_control=prescribed)
     config = SolverConfig(dt=spec.dt, t_end=spec.t_end,
                           snapshot_every=spec.snapshot_every, log_every=10)
     snap_t, omega_mass, window_mass, left_density = [], [], [], []
     target = 1.0 - c
-    last = mu0
 
     def record(t, mu):
-        nonlocal last
         x = mu.x
         eps = eps_at(t)
         snap_t.append(t)
@@ -366,12 +366,12 @@ def run_concentration_demo(spec: ScenarioSpec, *, on_snapshot: Optional[Callable
             mu.weights[(x >= target - 0.02) & (x <= target + 0.02)].sum()))
         sel = (x >= 0.0) & (x <= target - 0.02)
         left_density.append(float(mu.weights[sel].sum() / (target - 0.02)))
-        last = mu
         if on_snapshot is not None:
             on_snapshot(t, mu)
 
-    log = evolve(mu0, dyn, config, SupportBall(2.0), V, on_snapshot=record)
+    log = evolve(mu0, None, config, SupportBall(2.0), V, prescribed_control=prescribed,
+                 on_snapshot=record)
     report = dict(t=np.array(snap_t), omega_mass=np.array(omega_mass),
                   window_mass=np.array(window_mass),
-                  left_density=np.array(left_density), c=c, final=last)
+                  left_density=np.array(left_density), c=c)
     return log, report

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .controller import ControlDecision, ControllerState, decide_multi
-from .kernels import InteractionKernel, ball_cutoff
+from .kernels import InteractionKernel, ball_cutoff, constant_kernel
 from .lyapunov import MomentFunctional, rk4_step, value
 from .measures import (GridMeasure, Measure, ParticleMeasure, SupportBall, as_atoms,
                        support_bounds, sup_norm, total_mass, write_csv)
@@ -262,15 +262,9 @@ def step_particles(mu: ParticleMeasure, field: Callable, dt: float) -> ParticleM
 # Full evolution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Dynamics:
-    """Drift kernel, control kernels, optional feedback or prescribed gain."""
-
-    f_kernel: Optional[InteractionKernel]
-    g_kernels: Sequence[InteractionKernel] = ()
-    controller: Optional[ControllerState] = None
-    # prescribed_control(t) -> u(x); applied through g_kernels[0]
-    prescribed_control: Optional[Callable[[float], Callable]] = None
+# Every control, the feedback's bump or a prescribed gain u, acts as u * g with
+# this kernel's field g, the total mass (tapered like every field).
+CONTROL_KERNEL = constant_kernel(1.0)
 
 
 def _check_support(mu: Measure, ball: SupportBall, tol: float) -> tuple[float, float]:
@@ -281,21 +275,17 @@ def _check_support(mu: Measure, ball: SupportBall, tol: float) -> tuple[float, f
     return lo, hi
 
 
-def _log_meta(log: TrajectoryLog, dynamics: Dynamics, config: SolverConfig,
-              ball: SupportBall) -> None:
-    L = M = 0.0
-    kernels = [k for k in (dynamics.f_kernel, *dynamics.g_kernels) if k is not None]
-    if kernels:
-        L = max(k.lipschitz_L for k in kernels)
-        M = max(k.bound_M for k in kernels)
-    log.meta.update(dict(L=L, M=M, theta=config.t_end, radius=ball.radius,
-                         dt=config.dt))
-
-
-def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
+def evolve(mu0: Measure, f: Optional[InteractionKernel], config: SolverConfig,
            ball: SupportBall, V: MomentFunctional, *,
+           controller: Optional[ControllerState] = None,
+           prescribed_control: Optional[Callable[[float], Callable]] = None,
            on_snapshot: Optional[Callable[[float, Measure], None]] = None) -> TrajectoryLog:
-    """Evolve mu0 to t_end, logging diagnostics every ``log_every`` steps.
+    """Evolve mu0 under the drift kernel ``f`` (None: no drift) to t_end, logging
+    diagnostics every ``log_every`` steps.
+
+    The control is the sparse feedback that ``controller`` starts from, or
+    the gain ``prescribed_control(t) -> u(x)``, or none; not both.  Either
+    acts through :data:`CONTROL_KERNEL`.
 
     A snapshot is taken every ``snapshot_every`` from t = 0.  Each one goes to
     ``on_snapshot(t, mu)`` as it is taken when that is given, so the log keeps
@@ -306,10 +296,11 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
     :class:`SupportEscapeError` if mass leaves B(0, R) beyond one cell width
     (grid) or 1e-9 (particles).
     """
+    if controller is not None and prescribed_control is not None:
+        raise ValueError("evolve takes a controller or a prescribed control, not both")
     grid = isinstance(mu0, GridMeasure)
     mu = mu0
     taper = ball.radius / 10.0
-    f = dynamics.f_kernel
     drift = None
     if grid:
         edges = mu.edges
@@ -318,9 +309,13 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
             drift = (f.grid_stencil(mu.dx, mu.n_cells),
                      ball_cutoff(mu.centers, ball, taper))
 
-    state = dynamics.controller
+    state = controller
     log = TrajectoryLog(dt=config.dt, dx=mu.dx if grid else 0.0)
-    _log_meta(log, dynamics, config, ball)
+    controlled = controller is not None or prescribed_control is not None
+    kernels = [k for k in (f, CONTROL_KERNEL if controlled else None) if k is not None]
+    log.meta.update(L=max((k.lipschitz_L for k in kernels), default=0.0),
+                    M=max((k.bound_M for k in kernels), default=0.0),
+                    theta=config.t_end, radius=ball.radius)
     if on_snapshot is None:
         def on_snapshot(t, snap):
             log.snapshots.append((t, snap))
@@ -332,20 +327,19 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
         # a grid step atomizes once, for its fields, the controller and V; a particle
         # field reads every particle, the controller and V those with mass
         ax, aw = atoms = as_atoms(mu) if grid else (mu.x, mu.weights)
-        g_fields = [
-            (lambda x, g=g: g.field_at(x, ax, aw) * ball_cutoff(x, ball, taper))
-            for g in dynamics.g_kernels
-        ]
 
-        ctrl, slope_now, u_fn, g_index = None, 0.0, None, 0
+        def g_field(x):
+            return CONTROL_KERNEL.field_at(x, ax, aw) * ball_cutoff(x, ball, taper)
+
+        ctrl, slope_now, u_fn = None, 0.0, None
         if state is not None:
-            decision, state = decide_multi(t, atoms if grid else as_atoms(mu), state, g_fields, V)
+            decision, state = decide_multi(t, atoms if grid else as_atoms(mu), state,
+                                           (g_field,), V)
             log.record_decision(t, decision)
             ctrl, slope_now = decision.control, decision.slope
-            if ctrl is not None:
-                u_fn, g_index = ctrl.u, ctrl.field_index
-        elif dynamics.prescribed_control is not None:
-            u_fn = dynamics.prescribed_control(t)
+            u_fn = None if ctrl is None else ctrl.u
+        elif prescribed_control is not None:
+            u_fn = prescribed_control(t)
 
         if grid:  # the drift has its own stencil; the edge field is the control alone
             w_drift = None if drift is None else stencil_velocity(mu.cell_mass, *drift)
@@ -354,11 +348,11 @@ def evolve(mu0: Measure, dynamics: Dynamics, config: SolverConfig,
             else:
                 if ctrl is None or ctrl is not u_ctrl:
                     u_ctrl, u_e = ctrl, np.asarray(u_fn(edges), dtype=float)
-                v_e = u_e * g_fields[g_index](edges)
+                v_e = u_e * g_field(edges)
         else:
             def velocity(x):  # f[mu] + u g[mu]
                 v = (np.zeros_like(np.asarray(x, dtype=float)) if u_fn is None
-                     else np.asarray(u_fn(x), dtype=float) * g_fields[g_index](x))
+                     else np.asarray(u_fn(x), dtype=float) * g_field(x))
                 return v if f is None else f.field_at(x, ax, aw) * ball_cutoff(x, ball, taper) + v
 
         if k % config.log_every == 0 or k == n_steps:

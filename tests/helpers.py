@@ -4,15 +4,16 @@ The package itself never atomizes a measure just to score one bump, moves a
 measure rigidly, or co-evolves two initial data, so these live here.
 """
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from mfjq.controller import BumpParams, SlopeEvaluator
+from mfjq.kernels import InteractionKernel
 from mfjq.lyapunov import MomentFunctional
 from mfjq.measures import (GridMeasure, Measure, ParticleMeasure, SupportBall,
                            as_atoms, wasserstein_1d)
-from mfjq.solver import Dynamics, SolverConfig, TrajectoryLog, evolve
+from mfjq.solver import SolverConfig, TrajectoryLog, evolve
 
 
 def slope(mu: Measure, g_field: Callable, V: MomentFunctional,
@@ -29,12 +30,13 @@ def translate(mu: Measure, a: float) -> Measure:
     return ParticleMeasure(mu.x + a, mu.weights)
 
 
-def stability_probe(mu0: Measure, nu0: Measure, dynamics: Dynamics,
+def stability_probe(mu0: Measure, nu0: Measure, f: Optional[InteractionKernel],
                     config: SolverConfig, ball: SupportBall,
                     V: MomentFunctional) -> dict:
-    """Co-evolve two initial data and fit the exponential growth rate of W_1."""
-    log_mu = evolve(mu0, dynamics, config, ball, V)
-    log_nu = evolve(nu0, dynamics, config, ball, V)
+    """Co-evolve two initial data under the drift kernel f and fit the
+    exponential growth rate of W_1."""
+    log_mu = evolve(mu0, f, config, ball, V)
+    log_nu = evolve(nu0, f, config, ball, V)
     times = np.array([t for t, _ in _resnap(log_mu)])
     w1 = np.array([wasserstein_1d(m, n, 1.0)
                    for (_, m), (_, n) in zip(_resnap(log_mu), _resnap(log_nu))])

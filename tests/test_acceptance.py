@@ -17,7 +17,7 @@ from mfjq.lyapunov import (lie_derivative, lie_derivative_fd_oracle,
 from mfjq.measures import (GridMeasure, ParticleMeasure, as_atoms,
                            wasserstein_1d)
 from mfjq.scenarios import ScenarioSpec, run_concentration_demo, run_hk
-from mfjq.solver import Dynamics, SolverConfig, check_linf_bound
+from mfjq.solver import SolverConfig, check_linf_bound
 from mfjq.measures import SupportBall
 
 from helpers import slope, stability_probe, translate
@@ -270,7 +270,7 @@ def test_criterion_10_wasserstein_correctness(report):
     probe = stability_probe(
         ParticleMeasure(x0[:, None], w0),
         ParticleMeasure((x0 + 5e-4)[:, None], w0),
-        Dynamics(f_kernel=HKKernel(0.05).interaction()),
+        HKKernel(0.05).interaction(),
         SolverConfig(dt=0.01, t_end=5.0, snapshot_every=0.5),
         SupportBall(6.0), variance_about(0.0, 6.0))
     ok = (terr <= 1e-12 and worst <= 1e-10 and np.isfinite(probe["rate"]))

@@ -344,6 +344,10 @@ class TestRun:
         pytest.param("hk_free", {"epsilon": float("inf")}, (), id="epsilon-inf"),
         pytest.param("hk_free", {"epsilon": True}, (), id="epsilon-bool"),
         pytest.param("hk_free", {"epsilon": 1e-320}, (), id="epsilon-subnormal"),
+        pytest.param("hk_free", {"domain": [-12, 6], "radius": 6}, (),
+                     id="interval-outside-domain"),
+        pytest.param("hk_free", {"radius": 20}, (), id="ball-outside-domain"),
+        pytest.param("hk_free", {"cluster_mass_floor": 1.0}, (), id="cluster-floor-one"),
     ])
     def test_config_error_exit_2(self, tmp_path, capsys, base, change, flags):
         d = ScenarioSpec.builtin(base).to_dict()

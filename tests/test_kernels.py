@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,12 @@ class TestHKPhi:
             HKKernel(0.0)
         with pytest.raises(ValueError):
             HKKernel(1e-320)  # 1/eps overflows to inf
-        HKKernel(1e-308)  # 1/eps = 1e308 is finite, and such a run works
+        # 1/eps = 1e308 is finite, and such a run works; r / eps overflows for
+        # r > 1.8 without a warning, and phi is still 1 below 1 and 0 past 1 + eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = HKKernel(1e-308).phi(np.array([0.5, 1.5, 2.0, 1e3]))
+        np.testing.assert_array_equal(phi, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestHKField:

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from mfjq import kernels, lyapunov, measures, solver
 from mfjq.controller import ControllerState
-from mfjq.kernels import HKKernel, ball_cutoff, constant_kernel
+from mfjq.kernels import HKKernel, ball_cutoff
 from mfjq.lyapunov import variance_about
 from mfjq.measures import (GridMeasure, ParticleMeasure, SupportBall, as_atoms,
                            barycenter, total_mass, wasserstein_1d)
 from mfjq.scenarios import ScenarioSpec, make_initial_measure, run_hk
-from mfjq.solver import (CSV_COLUMNS, Dynamics, SolverConfig,
+from mfjq.solver import (CSV_COLUMNS, SolverConfig,
                          SupportEscapeError, TrajectoryLog, check_linf_bound,
                          evolve, stencil_velocity, step_grid, step_particles)
 from mfjq.verify import audit_constraints_log
@@ -192,9 +192,9 @@ class TestStepParticles:
 class TestEvolve:
     def test_single_atom_stationary(self):
         mu = ParticleMeasure.dirac(2.0)
-        dyn = Dynamics(f_kernel=HKKernel(0.05).interaction())
+        f = HKKernel(0.05).interaction()
         cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_every=0.5)
-        log = evolve(mu, dyn, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
+        log = evolve(mu, f, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
         final = log.snapshots[-1][1]
         assert final.x[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -212,7 +212,7 @@ class TestEvolve:
             m = ov1 + ov2
             return GridMeasure(-6.0, 6.0, m / m.sum())
 
-        log = evolve(two_bump(), Dynamics(f_kernel=kern), cfg, ball, V)
+        log = evolve(two_bump(), kern, cfg, ball, V)
         v = log.V
         # V plateaus at a positive value: each bump contracts internally but
         # the bump separation (the dominant variance term) is conserved
@@ -226,21 +226,21 @@ class TestEvolve:
     def test_hk_barycenter_conserved(self):
         """The HK kernel is odd, so the drift keeps sum x dmu fixed."""
         mu = make_initial_measure(ScenarioSpec.builtin("hk_free"))
-        dyn = Dynamics(f_kernel=HKKernel(0.05).interaction())
+        f = HKKernel(0.05).interaction()
         cfg = SolverConfig(dt=0.01, t_end=50.0, snapshot_every=5.0)
-        log = evolve(mu, dyn, cfg, SupportBall(12.0), variance_about(5.0, 12.0))
+        log = evolve(mu, f, cfg, SupportBall(12.0), variance_about(5.0, 12.0))
         assert len(log.snapshots) == 11
         for _, snap in log.snapshots:
             assert abs(barycenter(snap) - barycenter(mu)) <= 1e-12
 
     def test_on_snapshot_streams_snapshots(self):
         mu = grid_uniform(-2, 2, n=80)
-        dyn = Dynamics(f_kernel=HKKernel(0.05).interaction())
+        f = HKKernel(0.05).interaction()
         ball, V = SupportBall(6.0), variance_about(0.0, 6.0)
         cfg = SolverConfig(dt=0.02, t_end=0.5, snapshot_every=0.2)
-        kept = evolve(mu, dyn, cfg, ball, V)
+        kept = evolve(mu, f, cfg, ball, V)
         streamed = []
-        log = evolve(mu, dyn, cfg, ball, V,
+        log = evolve(mu, f, cfg, ball, V,
                      on_snapshot=lambda t, snap: streamed.append((t, snap)))
         assert log.snapshots == []
         assert [t for t, _ in streamed] == [t for t, _ in kept.snapshots]
@@ -248,7 +248,7 @@ class TestEvolve:
         for (_, a), (_, b) in zip(streamed, kept.snapshots):
             np.testing.assert_array_equal(a.cell_mass, b.cell_mass)
         # t_end = 0.5 is no snapshot time, yet log.final is the measure there
-        at_end = evolve(mu, dyn, SolverConfig(dt=0.02, t_end=0.5, snapshot_every=0.5),
+        at_end = evolve(mu, f, SolverConfig(dt=0.02, t_end=0.5, snapshot_every=0.5),
                         ball, V).snapshots[-1]
         assert at_end[0] == pytest.approx(0.5)
         for final in (log.final, kept.final):
@@ -256,9 +256,9 @@ class TestEvolve:
 
     def test_mass_and_positivity_along_run(self):
         mu = grid_uniform(-2, 2, n=160)
-        dyn = Dynamics(f_kernel=HKKernel(0.05).interaction())
+        f = HKKernel(0.05).interaction()
         cfg = SolverConfig(dt=0.02, t_end=1.0, snapshot_every=0.2)
-        log = evolve(mu, dyn, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
+        log = evolve(mu, f, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
         mass = log.column("mass")
         assert np.max(np.abs(mass - 1.0)) <= 1e-12
         for _, snap in log.snapshots:
@@ -268,18 +268,16 @@ class TestEvolve:
         # the field tapers to 0 on [0.9, 1], but one RK4 step of 0.5 from
         # x = 0.9 averages the stages 1, 0, 1, 0 and overshoots to 1.15
         mu = ParticleMeasure.dirac(0.9)
-        dyn = Dynamics(f_kernel=None, g_kernels=(constant_kernel(1.0),),
-                       prescribed_control=lambda t: (lambda x: np.ones_like(x)))
         cfg = SolverConfig(dt=0.5, t_end=1.0)
         with pytest.raises(SupportEscapeError):
-            evolve(mu, dyn, cfg, SupportBall(1.0), variance_about(0.0, 1.0))
+            evolve(mu, None, cfg, SupportBall(1.0), variance_about(0.0, 1.0),
+                   prescribed_control=lambda t: (lambda x: np.ones_like(x)))
 
     def test_prescribed_control_grid(self):
         mu = grid_uniform(-1, 1, n=240)
-        dyn = Dynamics(f_kernel=None, g_kernels=(constant_kernel(1.0),),
-                       prescribed_control=lambda t: (lambda x: -np.sign(x)))
         cfg = SolverConfig(dt=0.01, t_end=0.5, snapshot_every=0.5)
-        log = evolve(mu, dyn, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
+        log = evolve(mu, None, cfg, SupportBall(6.0), variance_about(0.0, 6.0),
+                     prescribed_control=lambda t: (lambda x: -np.sign(x)))
         assert log.V[-1] < log.V[0]
 
     def test_feedback_on_particles(self):
@@ -287,16 +285,34 @@ class TestEvolve:
         rng = np.random.default_rng(0)
         mu = ParticleMeasure(rng.uniform(0.0, 10.0, 60), np.full(60, 1.0 / 60))
         state = ControllerState(c=2.0, h=0.5, radius=12.0, kappa=0.8, eta_floor=0.12)
-        dyn = Dynamics(f_kernel=HKKernel(0.05).interaction(),
-                       g_kernels=(constant_kernel(1.0),), controller=state)
         cfg = SolverConfig(dt=0.01, t_end=3.0)
-        log = evolve(mu, dyn, cfg, SupportBall(12.0), variance_about(barycenter(mu), 12.0))
+        log = evolve(mu, HKKernel(0.05).interaction(), cfg, SupportBall(12.0),
+                     variance_about(barycenter(mu), 12.0), controller=state)
         audit = audit_constraints_log(
             log.t, log.column("control_a"), log.column("control_b"),
             log.column("control_eta"), log.column("control_sign"), c=2.0, kappa=0.8)
         assert all(ok for _, ok, _ in audit), audit
         assert log.n_switches >= 1
         assert log.V[-1] < log.V[0]
+
+    def test_feedback_and_prescribed_gain_exclude_each_other(self):
+        state = ControllerState(c=2.0, h=0.5, radius=1.0, kappa=0.8, eta_floor=0.12)
+        with pytest.raises(ValueError, match="not both"):
+            evolve(ParticleMeasure.dirac(0.0), None, SolverConfig(dt=0.1, t_end=0.2),
+                   SupportBall(1.0), variance_about(0.0, 1.0), controller=state,
+                   prescribed_control=lambda t: (lambda x: np.ones_like(x)))
+
+    def test_meta_constants_count_the_control_kernel_only_under_control(self):
+        """L and M run over the drift kernel, and over the constant control
+        kernel (L = 0, M = 1) when a control acts."""
+        mu, cfg = ParticleMeasure.dirac(0.0), SolverConfig(dt=0.1, t_end=0.2)
+        ball, V = SupportBall(1.0), variance_about(0.0, 1.0)
+        f = HKKernel(0.05).interaction()
+        gain = lambda t: (lambda x: np.zeros_like(x))  # noqa: E731
+        metas = [evolve(mu, kern, cfg, ball, V, prescribed_control=u).meta
+                 for kern, u in ((None, None), (None, gain), (f, None), (f, gain))]
+        assert [(m["L"], m["M"]) for m in metas] == [
+            (0.0, 0.0), (0.0, 1.0), (f.lipschitz_L, f.bound_M), (f.lipschitz_L, f.bound_M)]
 
     def test_one_atomization_per_grid_step(self, monkeypatch):
         """A controlled grid step forms its atoms once: the control field, the
@@ -362,12 +378,9 @@ class TestTrajectoryLog:
 class TestLinfBound:
     def run_with_field(self, field_fn, t_end=1.0, n=200):
         mu = grid_uniform(-1, 1, n=n)
-        kern = constant_kernel(1.0)  # not used: prescribed control supplies v
-
-        dyn = Dynamics(f_kernel=None, g_kernels=(kern,),
-                       prescribed_control=lambda t: field_fn)
         cfg = SolverConfig(dt=0.005, t_end=t_end, snapshot_every=t_end)
-        return evolve(mu, dyn, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
+        return evolve(mu, None, cfg, SupportBall(6.0), variance_about(0.0, 6.0),
+                      prescribed_control=lambda t: field_fn)
 
     def test_zero_field_constant_sup(self):
         log = self.run_with_field(lambda x: np.zeros_like(x))
@@ -424,9 +437,9 @@ class TestStabilityProbe:
         w = np.full(60, 1.0 / 60)
         mu = ParticleMeasure(x[:, None], w)
         nu = ParticleMeasure((x + 1e-3)[:, None], w)
-        dyn = Dynamics(f_kernel=HKKernel(0.05).interaction())
+        f = HKKernel(0.05).interaction()
         cfg = SolverConfig(dt=0.02, t_end=2.0, snapshot_every=0.25)
-        rep = stability_probe(mu, nu, dyn, cfg, SupportBall(6.0),
+        rep = stability_probe(mu, nu, f, cfg, SupportBall(6.0),
                               variance_about(0.0, 6.0))
         assert np.isfinite(rep["rate"])
         assert 0.0 <= rep["r_squared"] <= 1.0 + 1e-12
@@ -436,10 +449,9 @@ class TestStabilityProbe:
 
     def test_needs_snapshots(self):
         mu = ParticleMeasure.dirac(0.0)
-        dyn = Dynamics(f_kernel=None)
         cfg = SolverConfig(dt=0.1, t_end=0.2)
         with pytest.raises(ValueError):
-            stability_probe(mu, mu, dyn, cfg, SupportBall(1.0),
+            stability_probe(mu, mu, None, cfg, SupportBall(1.0),
                             variance_about(0.0, 1.0))
 
 
@@ -461,6 +473,6 @@ def test_solver_config_validation():
             SolverConfig(**kw)
     # whole up to roundoff: 0.3 / 0.1 is 2.9999999999999996
     cfg = SolverConfig(dt=0.1, t_end=0.3, log_every=2)
-    log = evolve(ParticleMeasure.dirac(0.0), Dynamics(f_kernel=None), cfg,
+    log = evolve(ParticleMeasure.dirac(0.0), None, cfg,
                  SupportBall(1.0), variance_about(0.0, 1.0))
     assert log.t.tolist() == [0.0, 0.2, 0.30000000000000004]
