@@ -120,7 +120,7 @@ class HKKernel:
         eps = self.epsilon
         with np.errstate(over="ignore"):  # a tiny eps sends r / eps to inf, which clips to 0
             ramp = -r / eps + 1.0 + 1.0 / eps
-        return np.where(r < 1.0, 1.0, ramp.clip(0.0, 1.0))
+        return np.where(r <= 1.0, 1.0, ramp.clip(0.0, 1.0))
 
     def interaction(self) -> InteractionKernel:
         eps = self.epsilon

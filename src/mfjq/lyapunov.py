@@ -18,28 +18,16 @@ from .measures import Atoms, Measure, as_atoms, moment
 
 @dataclass(frozen=True)
 class MomentFunctional:
-    """Scalar functional mu -> integral v d mu with explicit derivative v'.
-
-    ``k_bound`` bounds |rate along u*g| by k_bound * ||u||_{L1(mu)}; it is
-    sup over the support ball of |v'| times the sup-norm bound of g.
-    """
+    """Scalar functional mu -> integral v d mu with explicit derivative v'."""
 
     v: Callable[[np.ndarray], np.ndarray]
     v_prime: Callable[[np.ndarray], np.ndarray]
-    k_bound: float
-
-    def __post_init__(self):
-        if self.k_bound < 0:
-            raise ValueError("k_bound must be nonnegative")
 
 
-def variance_about(center: float, radius: float) -> MomentFunctional:
-    """v(x) = (x - center)^2; k_bound from |v'| <= 2(R + |center|) on B(0, R)
-    and a control kernel bounded by 1."""
+def variance_about(center: float) -> MomentFunctional:
+    """v(x) = (x - center)^2."""
     c = float(center)
-    return MomentFunctional(v=lambda x: (x - c) ** 2,
-                            v_prime=lambda x: 2.0 * (x - c),
-                            k_bound=2.0 * (radius + abs(c)))
+    return MomentFunctional(v=lambda x: (x - c) ** 2, v_prime=lambda x: 2.0 * (x - c))
 
 
 def value(V: MomentFunctional, atoms: Atoms) -> float:

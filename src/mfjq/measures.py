@@ -9,7 +9,7 @@ Two representations are used throughout:
 
 :func:`as_atoms` says where a measure's mass sits: at each cell's centroid on
 a grid, at the particles otherwise.  Moments, the barycenter and the 1D
-p-Wasserstein distance (through quantile functions) are taken over those
+1-Wasserstein distance (through quantile functions) are taken over those
 atoms; the sup-norm reads the piecewise-constant density.
 """
 from __future__ import annotations
@@ -260,13 +260,11 @@ def _quantile_segments(mu: Measure, nu: Measure):
     return ds, xa[ia], xb[ib]
 
 
-def wasserstein_1d(mu: Measure, nu: Measure, p: float = 1.0) -> float:
-    """p-Wasserstein distance via quantile functions.
+def wasserstein_1d(mu: Measure, nu: Measure) -> float:
+    """1-Wasserstein distance via quantile functions.
 
     Exact for pairs of particle measures (common refinement of the quantile
     partitions); grid measures are atomized at their cell centroids first.
     """
-    if p < 1:
-        raise ValueError("order p must be >= 1")
     ds, qa, qb = _quantile_segments(mu, nu)
-    return float(np.dot(ds, np.abs(qa - qb) ** p) ** (1.0 / p))
+    return float(np.dot(ds, np.abs(qa - qb)))

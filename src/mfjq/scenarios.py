@@ -281,7 +281,7 @@ def run_hk(spec: ScenarioSpec, *, on_snapshot: Optional[Callable] = None
     V(0).  ``on_snapshot`` is passed to :func:`evolve`.
     """
     mu0 = make_initial_measure(spec)
-    V = variance_about(barycenter(mu0), spec.radius)
+    V = variance_about(barycenter(mu0))
     state = None if spec.controller is None else _controller_state(spec)
     config = SolverConfig(dt=spec.dt, t_end=spec.t_end, snapshot_every=spec.snapshot_every)
     log = evolve(mu0, make_kernel(spec.kernel, epsilon=spec.epsilon), config,
@@ -351,7 +351,7 @@ def run_concentration_demo(spec: ScenarioSpec, *, on_snapshot: Optional[Callable
 
     x0 = (np.arange(n_particles) + 0.5) / n_particles
     mu0 = ParticleMeasure(x0, np.full(n_particles, 1.0 / n_particles))
-    V = variance_about(0.0, radius=2.0)
+    V = variance_about(0.0)
     config = SolverConfig(dt=spec.dt, t_end=spec.t_end,
                           snapshot_every=spec.snapshot_every, log_every=10)
     snap_t, omega_mass, window_mass, left_density = [], [], [], []

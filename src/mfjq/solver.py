@@ -1,10 +1,11 @@
 """Time evolution of a measure under a nonlocal drift plus localized control.
 
 One loop, :func:`evolve`, serves both backends: the control fields, the
-controller's slopes and V are integrals against the atoms of the step's start
-(on a grid, the cell centroids and masses of :func:`~mfjq.measures.as_atoms`,
-formed once) and are frozen over the step.  The controller is queried once
-per step, and its bump is held piecewise constant between switch events.
+controller's slopes and V are integrals against one set of atoms, formed once
+at the start of each step (the particles, or on a grid the cell centroids and
+masses of :func:`~mfjq.measures.as_atoms`), and are frozen over the step.
+The controller is queried once per step, and its bump is held piecewise
+constant between switch events.
 
 Grid measures carry each cell's mass and the centroid of that mass.  The
 interaction drift alone is evaluated on the uniform midpoints x_i, v_i =
@@ -314,8 +315,7 @@ def evolve(mu0: Measure, f: Optional[InteractionKernel], config: SolverConfig,
     controlled = controller is not None or prescribed_control is not None
     kernels = [k for k in (f, CONTROL_KERNEL if controlled else None) if k is not None]
     log.meta.update(L=max((k.lipschitz_L for k in kernels), default=0.0),
-                    M=max((k.bound_M for k in kernels), default=0.0),
-                    theta=config.t_end, radius=ball.radius)
+                    M=max((k.bound_M for k in kernels), default=0.0))
     if on_snapshot is None:
         def on_snapshot(t, snap):
             log.snapshots.append((t, snap))
@@ -324,8 +324,7 @@ def evolve(mu0: Measure, f: Optional[InteractionKernel], config: SolverConfig,
     t = 0.0
     u_ctrl = u_e = None  # the held bump and its values at the edges
     for k in range(n_steps + 1):
-        # a grid step atomizes once, for its fields, the controller and V; a particle
-        # field reads every particle, the controller and V those with mass
+        # one set of atoms per step, for the fields, the controller and V
         ax, aw = atoms = as_atoms(mu) if grid else (mu.x, mu.weights)
 
         def g_field(x):
@@ -333,8 +332,7 @@ def evolve(mu0: Measure, f: Optional[InteractionKernel], config: SolverConfig,
 
         ctrl, slope_now, u_fn = None, 0.0, None
         if state is not None:
-            decision, state = decide_multi(t, atoms if grid else as_atoms(mu), state,
-                                           (g_field,), V)
+            decision, state = decide_multi(t, atoms, state, (g_field,), V)
             log.record_decision(t, decision)
             ctrl, slope_now = decision.control, decision.slope
             u_fn = None if ctrl is None else ctrl.u
@@ -365,8 +363,7 @@ def evolve(mu0: Measure, f: Optional[InteractionKernel], config: SolverConfig,
                 if w_drift is not None:
                     div += np.abs(w_drift[1:] - w_drift[:-1]).max(initial=0.0)
                 div /= mu.dx
-            log.append(t, value(V, atoms if grid else as_atoms(mu)), slope_now, ctrl,
-                       total_mass(mu), sup, lo, hi, div)
+            log.append(t, value(V, atoms), slope_now, ctrl, total_mass(mu), sup, lo, hi, div)
         every = config.snapshot_every
         if every is not None and t - last_snap >= every - 1e-12:
             on_snapshot(t, mu)
@@ -392,8 +389,8 @@ def check_linf_bound(log: TrajectoryLog) -> dict:
 
     Checks, at every logged step, sup[k+1] <= sup[k] * (1 + dt * divsup[k])
     with relative slack 5*(dx + dt), and the a-priori global bound
-    exp(theta * (2L + M * theta)) * sup[0] in dimension 1.  Returns a
-    report; never raises.
+    exp(theta * (2L + M * theta)) * sup[0] in dimension 1, with theta the
+    log's last time.  Returns a report; never raises.
     """
     sup = log.column("sup_norm")
     div = log.column("div_sup")
@@ -404,7 +401,7 @@ def check_linf_bound(log: TrajectoryLog) -> dict:
     violations = list(zip(log.t[1:][bad].tolist(), sup[1:][bad].tolist(),
                           bound[bad].tolist()))
     m = log.meta
-    theta = m.get("theta", float(log.t[-1]))
+    theta = float(log.t[-1])
     # compare in log space: the a-priori constant easily overflows a float
     log_bound = theta * (2.0 * m.get("L", 0.0) + m.get("M", 0.0) * theta)
     with np.errstate(divide="ignore"):

@@ -36,7 +36,7 @@ def _random_particles(rng) -> ParticleMeasure:
 def suite_oracle() -> list:
     """Closed-form rate of the variance vs the finite-difference oracle."""
     rng = default_rng(0)
-    V = variance_about(0.0, radius=6.0)
+    V = variance_about(0.0)
     hk = HKKernel(0.05).interaction()
     worst = 0.0
     for _ in range(100):
@@ -64,7 +64,7 @@ def suite_dissipativity() -> list:
     rng = default_rng(1)
     hk = HKKernel(0.05)
     kern = hk.interaction()
-    V = variance_about(0.0, radius=6.0)
+    V = variance_about(0.0)
     worst_pos = -np.inf
     for _ in range(100):
         mu = _random_particles(rng)
@@ -100,7 +100,7 @@ def suite_conservation() -> list:
     rows.append(("barycenter conserved to 1e-12", drift <= 1e-12,
                  f"max |shift| {drift:.2e}"))
     lo, hi = log.column("supp_lo"), log.column("supp_hi")
-    R = log.meta["radius"]
+    R = spec.radius
     ok = bool(np.all(lo >= -R - 1e-9) and np.all(hi <= R + 1e-9))
     rows.append(("support inside B(0,R)", ok,
                  f"range [{lo.min():.3g}, {hi.max():.3g}], R={R}"))

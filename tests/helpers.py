@@ -38,7 +38,7 @@ def stability_probe(mu0: Measure, nu0: Measure, f: Optional[InteractionKernel],
     log_mu = evolve(mu0, f, config, ball, V)
     log_nu = evolve(nu0, f, config, ball, V)
     times = np.array([t for t, _ in _resnap(log_mu)])
-    w1 = np.array([wasserstein_1d(m, n, 1.0)
+    w1 = np.array([wasserstein_1d(m, n)
                    for (_, m), (_, n) in zip(_resnap(log_mu), _resnap(log_nu))])
     mask = w1 > 0
     if mask.sum() >= 2:

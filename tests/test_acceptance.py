@@ -127,7 +127,7 @@ def test_criterion_4_control_constraints(sweep, report):
         ok &= bool(np.all(1.0 / eta[active] <= 1.0 + t[active] + 1e-9))
         worst.append(f"h={h}: max|omega|={np.nanmax(vol):.6g}")
     # multi-field: at most one field active at any decision
-    V = variance_about(0.0, radius=10.0)
+    V = variance_about(0.0)
     state = ControllerState(c=2.0, h=0.5, radius=10.0)
     mu = ParticleMeasure(np.array([[3.0], [-2.0]]), np.array([0.6, 0.4]))
     g1 = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -141,7 +141,7 @@ def test_criterion_5_two_dirac_dissipativity(report):
     rng = np.random.default_rng(0)
     hk = HKKernel(0.05)
     kern = hk.interaction()
-    V = variance_about(0.0, radius=6.0)
+    V = variance_about(0.0)
     worst = 0.0
     for _ in range(100):
         x, y = rng.uniform(-5.0, 5.0, 2)
@@ -158,7 +158,7 @@ def test_criterion_5_two_dirac_dissipativity(report):
 def test_criterion_6_lie_derivative_oracle(report):
     from test_lyapunov import random_field, random_particles
     rng = np.random.default_rng(1)
-    V = variance_about(0.0, radius=6.0)
+    V = variance_about(0.0)
     worst = 0.0
     for _ in range(100):
         mu = random_particles(rng, int(rng.integers(2, 51)))
@@ -199,7 +199,7 @@ def test_criterion_7_explicit_slope_formula(report):
     from mfjq.controller import BumpParams
 
     mu = GridMeasure.uniform(-1.0, 1.0, -1.0, 1.0, 400_000)
-    V = variance_about(0.0, radius=2.0)
+    V = variance_about(0.0)
     g = lambda x: np.ones_like(np.asarray(x, dtype=float))
     ev = SlopeEvaluator(as_atoms(mu), g, V)
     worst = 0.0
@@ -272,7 +272,7 @@ def test_criterion_10_wasserstein_correctness(report):
         ParticleMeasure((x0 + 5e-4)[:, None], w0),
         HKKernel(0.05).interaction(),
         SolverConfig(dt=0.01, t_end=5.0, snapshot_every=0.5),
-        SupportBall(6.0), variance_about(0.0, 6.0))
+        SupportBall(6.0), variance_about(0.0))
     ok = (terr <= 1e-12 and worst <= 1e-10 and np.isfinite(probe["rate"]))
     report(10, ok, f"translation err {terr:.1e}, LP-oracle err {worst:.1e}, "
                    f"fitted W1 growth rate {probe['rate']:.3f} "

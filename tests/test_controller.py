@@ -158,7 +158,7 @@ class TestSlopeEvaluator:
     def test_matches_direct_quadrature(self, seed):
         rng = np.random.default_rng(seed)
         mu = random_particles(rng, int(rng.integers(2, 60)))
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         ev = SlopeEvaluator(as_atoms(mu), ones, V)
         a = rng.uniform(-5, 4)
         b = a + rng.uniform(0, 2)
@@ -168,7 +168,7 @@ class TestSlopeEvaluator:
 
     def test_slope_helper(self):
         mu = ParticleMeasure(np.array([[1.0], [-2.0]]), np.array([0.5, 0.5]))
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         p = BumpParams(np.array([0.5]), np.array([1.5]), 0.1)
         # only the atom at 1.0 is covered: slope = |2 * 1.0 * 0.5|
         assert slope(mu, ones, V, p) == pytest.approx(1.0)
@@ -184,7 +184,7 @@ class TestSlopeEvaluator:
         x, w = as_atoms(GridMeasure(-6.0, 6.0, cells / cells.sum()))
         shuffle = rng.permutation(x.size)
         g = np.sin if rng.random() < 0.5 else ones
-        V = variance_about(rng.uniform(-6.0, 6.0), radius=6.0)
+        V = variance_about(rng.uniform(-6.0, 6.0))
         grid_ev = SlopeEvaluator((x, w), g, V)
         shuffled_ev = SlopeEvaluator((x[shuffle], w[shuffle]), g, V)
         assert grid_ev.x is x
@@ -193,7 +193,7 @@ class TestSlopeEvaluator:
 
     def test_grid_measure_atomized(self):
         mu = GridMeasure.uniform(-1.0, 1.0, -2.0, 2.0, 4000)
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         ev = SlopeEvaluator(as_atoms(mu), ones, V)
         # integral of 2x over [0, 1] with density 1/2 is 1/2
         got = ev.signed_batch(0.0, 1.0, 1e-9)
@@ -218,7 +218,7 @@ class TestWindowBound:
             w = rng.uniform(0.1, 1.0, x.size)
             mu = ParticleMeasure(x[:, None], w / w.sum())
         g = np.sin if rng.random() < 0.5 else ones
-        ev = SlopeEvaluator(as_atoms(mu), g, variance_about(rng.uniform(-6.0, 6.0), radius=6.0))
+        ev = SlopeEvaluator(as_atoms(mu), g, variance_about(rng.uniform(-6.0, 6.0)))
         eta_min = rng.uniform(1e-3, 0.5) * c
         eta = rng.uniform(eta_min, c / 2.0, 50)
         w = rng.random(50) * (c - 2.0 * eta)
@@ -229,7 +229,7 @@ class TestWindowBound:
 
     def test_bathtub_values(self):
         mu = ParticleMeasure(np.array([[-1.0], [0.5], [1.0], [2.0]]), np.full(4, 0.25))
-        ev = SlopeEvaluator(as_atoms(mu), ones, variance_about(0.0, radius=6.0))
+        ev = SlopeEvaluator(as_atoms(mu), ones, variance_about(0.0))
         # q*m = 2x/4: -0.5, 0.25, 0.5, 1.0
         bound, _ = ev.window_bound([-1.0, 0.5, -3.0], [0.5, 2.0, -2.0], 0.1)
         np.testing.assert_allclose(bound, [0.5, 1.75, 0.0])
@@ -247,7 +247,7 @@ class TestSlopeCeiling:
         else:  # a single atom too, where the best bump meets the bound
             mu = random_particles(rng, int(rng.integers(1, 60)), span=8.0)
         fields = (ones, np.sin)[:1 + two_fields]
-        V = variance_about(rng.uniform(-6.0, 6.0), radius=8.0)
+        V = variance_about(rng.uniform(-6.0, 6.0))
         state = ControllerState(c=rng.uniform(0.1, 3.0), h=0.5, radius=6.0,
                                 kappa=rng.uniform(0.2, 2.0))
         t = rng.uniform(0.0, 50.0)
@@ -261,7 +261,7 @@ class TestSlopeCeiling:
 
     def test_dirac_meets_the_ceiling(self):
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
-        ev = SlopeEvaluator(as_atoms(ParticleMeasure.dirac(3.0)), ones, variance_about(0.0, 10.0))
+        ev = SlopeEvaluator(as_atoms(ParticleMeasure.dirac(3.0)), ones, variance_about(0.0))
         U = slope_ceiling([ev], 10.0, state)
         _, _, s, _ = search_maximizer([ev], 10.0, state, strict=True)
         assert s == 6.0 and 6.0 < U < 6.0 + 1e-6
@@ -292,7 +292,7 @@ class TestSlopeCeiling:
 
         monkeypatch.setattr(controller, "SlopeEvaluator", refuse)
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
-        mu, V = ParticleMeasure.dirac(3.0), variance_about(0.0, 10.0)
+        mu, V = ParticleMeasure.dirac(3.0), variance_about(0.0)
         # at t = 0 strict eta_min = 2 > c/2
         dec, new = decide_multi(0.0, as_atoms(mu), state, (ones,), V)
         assert dec.control is None and not dec.switched and dec.empty
@@ -354,14 +354,14 @@ class TestSearchMaximizer:
         # at t = 0 strict eta_min = 2 > c/2
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
         mu = ParticleMeasure.dirac(1.0)
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         ev = SlopeEvaluator(as_atoms(mu), ones, V)
         assert search_maximizer([ev], 0.0, state, strict=True) is None
 
     def test_finds_mass(self):
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
         mu = ParticleMeasure.dirac(3.0)
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         ev = SlopeEvaluator(as_atoms(mu), ones, V)
         params, i, s, signed = search_maximizer([ev], 10.0, state)
         assert i == 0
@@ -374,7 +374,7 @@ class TestSearchMaximizer:
         """Refined search is within 2% of an exhaustive 10x-finer scan."""
         rng = np.random.default_rng(5)
         mu = random_particles(rng, 30)
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         ev = SlopeEvaluator(as_atoms(mu), ones, V)
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
         t = 10.0
@@ -391,7 +391,7 @@ class TestSearchMaximizer:
     def test_distinct_candidates_match_full_product(self, monkeypatch, seed):
         """Scoring each distinct candidate once returns the full product's result."""
         sizes = count_candidates(monkeypatch)
-        V = variance_about(0.0, radius=12.0)
+        V = variance_about(0.0)
         for name, mu, fields, state, t, strict in clip_cases(seed):
             evaluators = [SlopeEvaluator(as_atoms(mu), g, V) for g in fields]
             sizes.clear()
@@ -420,7 +420,7 @@ class TestSearchMaximizer:
         which a refinement round does not score."""
         sizes = count_candidates(monkeypatch)
         _, mu, fields, state, t, strict = clip_cases(0)[0]
-        ev = SlopeEvaluator(as_atoms(mu), fields[0], variance_about(0.0, 12.0))
+        ev = SlopeEvaluator(as_atoms(mu), fields[0], variance_about(0.0))
         params, *_ = search_maximizer([ev], t, state, strict)
         assert params.eta == state.eta_min(t, strict)
         assert len(sizes) == 4  # the probe, the coarse round and two refinement rounds
@@ -430,7 +430,7 @@ class TestSearchMaximizer:
     def test_pruning_is_exact(self, monkeypatch, seed):
         """With the window bound at +inf no centre is pruned; the answer is the same."""
         sizes = count_candidates(monkeypatch)
-        V = variance_about(0.0, radius=12.0)
+        V = variance_about(0.0)
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
         ends = np.linspace(-6.0, 6.0, N_A)[[10, 40]][:, None] + [-1.0, 1.0]
         cases = clip_cases(seed) + [
@@ -463,7 +463,7 @@ class TestSearchMaximizer:
         rng = np.random.default_rng(3)
         mu = random_particles(rng, 50, span=3.3, lo=3.0)
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
-        ev = SlopeEvaluator(as_atoms(mu), ones, variance_about(0.0, 6.0))
+        ev = SlopeEvaluator(as_atoms(mu), ones, variance_about(0.0))
         search_maximizer([ev], 10.0, state)
         assert sizes[0] == N_A  # the probe
         assert sizes[1] < N_A * N_W * N_ETA / 4, sizes
@@ -471,7 +471,7 @@ class TestSearchMaximizer:
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         mu = random_particles(rng, 25)
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
         outs = [search_maximizer([SlopeEvaluator(as_atoms(mu), ones, V)], 5.0, state)
                 for _ in range(2)]
@@ -490,7 +490,7 @@ class TestStateMachine:
         # all slopes vanish on the consensus state
         state = self.mk_state()
         mu = ParticleMeasure.dirac(0.0)
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         dec, new = decide_multi(5.0, as_atoms(mu), state, (ones,), V)
         assert dec.control is None and not dec.switched
         assert new is state
@@ -498,7 +498,7 @@ class TestStateMachine:
     def test_activation_above_threshold(self):
         state = self.mk_state()
         mu = ParticleMeasure.dirac(3.0)
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         t = 10.0  # phi3 = 2/11 << slope 6
         dec, new = decide_multi(t, as_atoms(mu), state, (ones,), V)
         assert dec.control is not None and dec.switched and dec.reason == "entry"
@@ -509,13 +509,13 @@ class TestStateMachine:
         state = self.mk_state(kappa=1.0)
         # tiny slope: atom very close to the variance center
         mu = ParticleMeasure(np.array([[0.01], [-0.01]]), np.array([0.5, 0.5]))
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         dec, new = decide_multi(10.0, as_atoms(mu), state, (ones,), V)
         assert dec.control is None and not dec.switched
 
     def test_hold_between_thresholds(self):
         """An active bump with slope between phi1 and phi3/(1-h) is held."""
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         mu = ParticleMeasure.dirac(3.0)
         state = self.mk_state(h=0.5)
         dec, state = decide_multi(10.0, as_atoms(mu), state, (ones,), V)
@@ -527,7 +527,7 @@ class TestStateMachine:
 
     def test_hysteresis_switch(self):
         """A challenger more than 1/(1-h) times better forces a switch."""
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         state = self.mk_state(h=0.5)
         mu = ParticleMeasure.dirac(3.0)
         dec, state = decide_multi(10.0, as_atoms(mu), state, (ones,), V)
@@ -540,7 +540,7 @@ class TestStateMachine:
         assert dec2.current_slope <= (1.0 - state.h) * dec2.candidate_slope + 1e-9
 
     def test_abandon_below_phi1(self):
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         state = self.mk_state()
         mu = ParticleMeasure.dirac(3.0)
         dec, state = decide_multi(10.0, as_atoms(mu), state, (ones,), V)
@@ -553,7 +553,7 @@ class TestStateMachine:
     def test_held_bump_raising_V_is_dropped(self):
         """The hold reads the signed rate: a bump whose mass sits on the other
         side of V's centre raises V, and is dropped however steep it is."""
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         held = ActiveControl(BumpParams(-1.5, -0.5, 0.25), -1)  # pushes x = -1 outward
         state = self.mk_state(active=held)
         dec, new = decide_multi(10.0, as_atoms(ParticleMeasure.dirac(-1.0)), state, (ones,), V)
@@ -563,7 +563,7 @@ class TestStateMachine:
         assert dec.control.sign == 1 and new.active is dec.control
 
     def test_multi_field_single_active(self):
-        V = variance_about(0.0, radius=10.0)
+        V = variance_about(0.0)
         state = self.mk_state()
         mu = ParticleMeasure.dirac(3.0)
         half = lambda x: 0.5 * ones(x)
@@ -573,7 +573,7 @@ class TestStateMachine:
 
     def test_constraints_on_emitted_controls(self):
         rng = np.random.default_rng(2)
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         state = self.mk_state(radius=6.0)
         for k in range(30):
             mu = random_particles(rng, 20)

@@ -40,6 +40,11 @@ class TestHKPhi:
             phi = HKKernel(1e-308).phi(np.array([0.5, 1.5, 2.0, 1e3]))
         np.testing.assert_array_equal(phi, [1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("eps", [1e-308, 1e-20, 0.05])
+    def test_one_at_distance_one(self, eps):
+        # the plateau is closed: below eps ~ 1e-16 the ramp loses its 1 to roundoff
+        np.testing.assert_array_equal(HKKernel(eps).phi([1.0, -1.0]), [1.0, 1.0])
+
 
 class TestHKField:
     def test_two_atoms_attract(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfjq.controller import bump_1d
 from mfjq.kernels import HKKernel, nonlocal_field
-from mfjq.lyapunov import (MomentFunctional, _rk4_flow, lie_derivative,
+from mfjq.lyapunov import (_rk4_flow, lie_derivative,
                            lie_derivative_fd_oracle, rk4_step, value, variance_about)
 from mfjq.measures import GridMeasure, ParticleMeasure, as_atoms, moment
 
@@ -28,26 +28,22 @@ def random_field(rng):
 
 class TestValue:
     def test_variance_of_dirac_is_zero(self):
-        V = variance_about(0.0, radius=5.0)
+        V = variance_about(0.0)
         assert value(V, as_atoms(ParticleMeasure.dirac(0.0))) == 0.0
 
     def test_variance_two_atoms(self):
-        V = variance_about(0.0, radius=5.0)
+        V = variance_about(0.0)
         mu = ParticleMeasure(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))
         assert value(V, as_atoms(mu)) == pytest.approx(1.0)
 
     def test_variance_uniform_grid(self):
-        V = variance_about(0.0, radius=5.0)
+        V = variance_about(0.0)
         mu = GridMeasure.uniform(-1.0, 1.0, -1.0, 1.0, 800)
         assert value(V, as_atoms(mu)) == pytest.approx(1.0 / 3.0, abs=1e-5)
 
     def test_recentring(self):
-        V = variance_about(2.0, radius=5.0)
+        V = variance_about(2.0)
         assert value(V, as_atoms(ParticleMeasure.dirac(2.0))) == 0.0
-
-    def test_k_bound_validation(self):
-        with pytest.raises(ValueError):
-            MomentFunctional(v=lambda x: x, v_prime=lambda x: 1.0, k_bound=-1.0)
 
 
 class TestLieDerivative:
@@ -55,7 +51,7 @@ class TestLieDerivative:
     @settings(max_examples=50, deadline=None)
     def test_matches_fd_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         mu = random_particles(rng, int(rng.integers(2, 50)))
         field = random_field(rng)
         exact = lie_derivative(V, field, mu)
@@ -66,7 +62,7 @@ class TestLieDerivative:
     @settings(max_examples=40, deadline=None)
     def test_homogeneity(self, lam, seed):
         rng = np.random.default_rng(seed)
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         mu = random_particles(rng, 15)
         field = random_field(rng)
         lhs = lie_derivative(V, lambda x: lam * np.asarray(field(x)), mu)
@@ -77,7 +73,7 @@ class TestLieDerivative:
     @settings(max_examples=40, deadline=None)
     def test_additivity(self, seed):
         rng = np.random.default_rng(seed)
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         mu = random_particles(rng, 15)
         f1, f2 = random_field(rng), random_field(rng)
         lhs = lie_derivative(
@@ -86,12 +82,12 @@ class TestLieDerivative:
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_zero_field(self):
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         mu = ParticleMeasure.dirac(1.0)
         assert lie_derivative(V, lambda x: np.zeros_like(x), mu) == 0.0
 
     def test_oracle_tau_validation(self):
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         with pytest.raises(ValueError):
             lie_derivative_fd_oracle(V, lambda x: x, ParticleMeasure.dirac(0.0),
                                      tau=0.0)
@@ -154,7 +150,7 @@ class TestBatchedFlow:
             field = nonlocal_field(HKKernel(0.05).interaction(), sources)
         else:
             field = random_field(rng)
-        V = variance_about(rng.uniform(-1.0, 1.0), radius=6.0)
+        V = variance_about(rng.uniform(-1.0, 1.0))
         tau = 1e-4
         x, n = mu.x, mu.x.size
         both = _rk4_flow(np.concatenate((x, x)), field, np.repeat((tau, -tau), n))
@@ -175,12 +171,12 @@ class TestDissipativity:
         rng = np.random.default_rng(seed)
         kern = HKKernel(0.05).interaction()
         mu = random_particles(rng, int(rng.integers(2, 40)))
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         assert lie_derivative(V, nonlocal_field(kern, mu), mu) <= 1e-12
 
     def test_two_atom_closed_form(self):
         hk = HKKernel(0.05)
-        V = variance_about(0.0, radius=6.0)
+        V = variance_about(0.0)
         x, y = 0.5, -0.5
         mu = ParticleMeasure(np.array([[x], [y]]), np.array([0.5, 0.5]))
         rate = lie_derivative(V, nonlocal_field(hk.interaction(), mu), mu)
@@ -190,9 +186,10 @@ class TestDissipativity:
 
 def test_diff_bound_check():
     rng = np.random.default_rng(7)
-    V = variance_about(0.0, radius=6.0)
+    V = variance_about(0.0)
     mu = random_particles(rng, 20)
     u = lambda x: bump_1d(-1.0, 1.0, 0.3, x)
-    # |rate along u*g| <= k_bound * integral |u| d mu, with g = 1
+    # |rate along u*g| <= K * integral |u| d mu, with g = 1 and
+    # K = sup |v'| = 2(R + |c|) = 12 on B(0, R = 6), c = 0
     rate = lie_derivative(V, u, mu)
-    assert abs(rate) <= V.k_bound * moment(as_atoms(mu), lambda x: np.abs(u(x))) + 1e-12
+    assert abs(rate) <= 12.0 * moment(as_atoms(mu), lambda x: np.abs(u(x))) + 1e-12

@@ -194,14 +194,14 @@ class TestEvolve:
         mu = ParticleMeasure.dirac(2.0)
         f = HKKernel(0.05).interaction()
         cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_every=0.5)
-        log = evolve(mu, f, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
+        log = evolve(mu, f, cfg, SupportBall(6.0), variance_about(0.0))
         final = log.snapshots[-1][1]
         assert final.x[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_far_apart_bumps_decouple(self):
         """Two bumps farther apart than the confidence radius evolve as if alone."""
         kern = HKKernel(0.05).interaction()
-        V = variance_about(0.0, 8.0)
+        V = variance_about(0.0)
         ball = SupportBall(8.0)
         cfg = SolverConfig(dt=0.01, t_end=2.0, snapshot_every=2.0)
 
@@ -228,7 +228,7 @@ class TestEvolve:
         mu = make_initial_measure(ScenarioSpec.builtin("hk_free"))
         f = HKKernel(0.05).interaction()
         cfg = SolverConfig(dt=0.01, t_end=50.0, snapshot_every=5.0)
-        log = evolve(mu, f, cfg, SupportBall(12.0), variance_about(5.0, 12.0))
+        log = evolve(mu, f, cfg, SupportBall(12.0), variance_about(5.0))
         assert len(log.snapshots) == 11
         for _, snap in log.snapshots:
             assert abs(barycenter(snap) - barycenter(mu)) <= 1e-12
@@ -236,7 +236,7 @@ class TestEvolve:
     def test_on_snapshot_streams_snapshots(self):
         mu = grid_uniform(-2, 2, n=80)
         f = HKKernel(0.05).interaction()
-        ball, V = SupportBall(6.0), variance_about(0.0, 6.0)
+        ball, V = SupportBall(6.0), variance_about(0.0)
         cfg = SolverConfig(dt=0.02, t_end=0.5, snapshot_every=0.2)
         kept = evolve(mu, f, cfg, ball, V)
         streamed = []
@@ -258,7 +258,7 @@ class TestEvolve:
         mu = grid_uniform(-2, 2, n=160)
         f = HKKernel(0.05).interaction()
         cfg = SolverConfig(dt=0.02, t_end=1.0, snapshot_every=0.2)
-        log = evolve(mu, f, cfg, SupportBall(6.0), variance_about(0.0, 6.0))
+        log = evolve(mu, f, cfg, SupportBall(6.0), variance_about(0.0))
         mass = log.column("mass")
         assert np.max(np.abs(mass - 1.0)) <= 1e-12
         for _, snap in log.snapshots:
@@ -270,13 +270,13 @@ class TestEvolve:
         mu = ParticleMeasure.dirac(0.9)
         cfg = SolverConfig(dt=0.5, t_end=1.0)
         with pytest.raises(SupportEscapeError):
-            evolve(mu, None, cfg, SupportBall(1.0), variance_about(0.0, 1.0),
+            evolve(mu, None, cfg, SupportBall(1.0), variance_about(0.0),
                    prescribed_control=lambda t: (lambda x: np.ones_like(x)))
 
     def test_prescribed_control_grid(self):
         mu = grid_uniform(-1, 1, n=240)
         cfg = SolverConfig(dt=0.01, t_end=0.5, snapshot_every=0.5)
-        log = evolve(mu, None, cfg, SupportBall(6.0), variance_about(0.0, 6.0),
+        log = evolve(mu, None, cfg, SupportBall(6.0), variance_about(0.0),
                      prescribed_control=lambda t: (lambda x: -np.sign(x)))
         assert log.V[-1] < log.V[0]
 
@@ -287,7 +287,7 @@ class TestEvolve:
         state = ControllerState(c=2.0, h=0.5, radius=12.0, kappa=0.8, eta_floor=0.12)
         cfg = SolverConfig(dt=0.01, t_end=3.0)
         log = evolve(mu, HKKernel(0.05).interaction(), cfg, SupportBall(12.0),
-                     variance_about(barycenter(mu), 12.0), controller=state)
+                     variance_about(barycenter(mu)), controller=state)
         audit = audit_constraints_log(
             log.t, log.column("control_a"), log.column("control_b"),
             log.column("control_eta"), log.column("control_sign"), c=2.0, kappa=0.8)
@@ -299,14 +299,14 @@ class TestEvolve:
         state = ControllerState(c=2.0, h=0.5, radius=1.0, kappa=0.8, eta_floor=0.12)
         with pytest.raises(ValueError, match="not both"):
             evolve(ParticleMeasure.dirac(0.0), None, SolverConfig(dt=0.1, t_end=0.2),
-                   SupportBall(1.0), variance_about(0.0, 1.0), controller=state,
+                   SupportBall(1.0), variance_about(0.0), controller=state,
                    prescribed_control=lambda t: (lambda x: np.ones_like(x)))
 
     def test_meta_constants_count_the_control_kernel_only_under_control(self):
         """L and M run over the drift kernel, and over the constant control
         kernel (L = 0, M = 1) when a control acts."""
         mu, cfg = ParticleMeasure.dirac(0.0), SolverConfig(dt=0.1, t_end=0.2)
-        ball, V = SupportBall(1.0), variance_about(0.0, 1.0)
+        ball, V = SupportBall(1.0), variance_about(0.0)
         f = HKKernel(0.05).interaction()
         gain = lambda t: (lambda x: np.zeros_like(x))  # noqa: E731
         metas = [evolve(mu, kern, cfg, ball, V, prescribed_control=u).meta
@@ -333,6 +333,28 @@ class TestEvolve:
         assert log.perf["idle_queries_skipped"] == 150 and log.n_switches > 0
         # one per step, t = 0 to 2, and one for the barycenter V is centred at
         assert len(calls) == 201 + 1
+
+
+    def test_one_atomization_per_particle_step(self, monkeypatch):
+        """A controlled particle step reads its particles as the step's atoms:
+        the fields, the controller and the logged V make no as_atoms call."""
+        rng = np.random.default_rng(0)
+        mu = ParticleMeasure(rng.uniform(0.0, 10.0, 60), np.full(60, 1.0 / 60))
+        state = ControllerState(c=2.0, h=0.5, radius=12.0, kappa=0.8, eta_floor=0.12)
+        V = variance_about(barycenter(mu))
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return as_atoms(mu)
+
+        for module in (measures, kernels, lyapunov, solver):
+            monkeypatch.setattr(module, "as_atoms", counted)
+        log = evolve(mu, HKKernel(0.05).interaction(), SolverConfig(dt=0.01, t_end=2.0),
+                     SupportBall(12.0), V, controller=state)
+        # the queries before t = 1.5 are skipped; the controller enters at t = 1.5
+        assert log.perf["idle_queries_skipped"] == 150 and log.n_switches > 0
+        assert calls == []
 
 
 class TestTrajectoryLog:
@@ -379,7 +401,7 @@ class TestLinfBound:
     def run_with_field(self, field_fn, t_end=1.0, n=200):
         mu = grid_uniform(-1, 1, n=n)
         cfg = SolverConfig(dt=0.005, t_end=t_end, snapshot_every=t_end)
-        return evolve(mu, None, cfg, SupportBall(6.0), variance_about(0.0, 6.0),
+        return evolve(mu, None, cfg, SupportBall(6.0), variance_about(0.0),
                       prescribed_control=lambda t: field_fn)
 
     def test_zero_field_constant_sup(self):
@@ -440,7 +462,7 @@ class TestStabilityProbe:
         f = HKKernel(0.05).interaction()
         cfg = SolverConfig(dt=0.02, t_end=2.0, snapshot_every=0.25)
         rep = stability_probe(mu, nu, f, cfg, SupportBall(6.0),
-                              variance_about(0.0, 6.0))
+                              variance_about(0.0))
         assert np.isfinite(rep["rate"])
         assert 0.0 <= rep["r_squared"] <= 1.0 + 1e-12
         # Gronwall-type bound with the declared Lipschitz constant
@@ -452,7 +474,7 @@ class TestStabilityProbe:
         cfg = SolverConfig(dt=0.1, t_end=0.2)
         with pytest.raises(ValueError):
             stability_probe(mu, mu, None, cfg, SupportBall(1.0),
-                            variance_about(0.0, 1.0))
+                            variance_about(0.0))
 
 
 def test_solver_config_validation():
@@ -474,5 +496,5 @@ def test_solver_config_validation():
     # whole up to roundoff: 0.3 / 0.1 is 2.9999999999999996
     cfg = SolverConfig(dt=0.1, t_end=0.3, log_every=2)
     log = evolve(ParticleMeasure.dirac(0.0), None, cfg,
-                 SupportBall(1.0), variance_about(0.0, 1.0))
+                 SupportBall(1.0), variance_about(0.0))
     assert log.t.tolist() == [0.0, 0.2, 0.30000000000000004]
