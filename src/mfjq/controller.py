@@ -72,14 +72,14 @@ class BumpParams:
 
 
 @dataclass(frozen=True)
-class ActiveControl:
-    params: BumpParams
+class ActiveControl(BumpParams):
+    """The control in force: the bump (a, b, eta) with a sign, on one control field."""
+
     sign: int
     field_index: int = 0
 
     def u(self, x) -> np.ndarray:
-        p = self.params
-        return self.sign * bump_1d(p.a, p.b, p.eta, x)
+        return self.sign * bump_1d(self.a, self.b, self.eta, x)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +274,8 @@ def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
                      state: ControllerState, strict: bool = False):
     """Grid search + local refinement of the slope over the admissible set.
 
-    Returns (params, field_index, slope, signed_value) or None when the
-    admissible set is empty.  Ties are broken toward the lexicographically
+    Returns (control, slope), the control signed to decrease V, or None when
+    the admissible set is empty.  Ties are broken toward the lexicographically
     smallest (a, b, eta) and then the smallest field index.
     """
     c, R = state.c, state.radius
@@ -308,7 +308,7 @@ def search_maximizer(evaluators: Sequence[SlopeEvaluator], t: float,
     if best is None:
         return None
     s, i, a, b, eta, signed = best
-    return BumpParams(a, b, eta), i, s, signed
+    return ActiveControl(a, b, eta, -1 if signed > 0 else 1, i), s
 
 
 def slope_ceiling(evaluators: Sequence[SlopeEvaluator], t: float,
@@ -351,26 +351,25 @@ def decide_multi(t: float, atoms: Atoms, state: ControllerState,
     s_cur, best, reason = 0.0, None, None
     if ctrl is None:
         # U = 0 settles an empty admissible set, so every search that runs finds a bump
-        if not U < state.phi3(t):  # U < phi3: no bump can enter; a NaN U searches
-            best = search_maximizer(evaluators, t, state, strict=True)[2]
+        if not U < state.phi3(t):  # U < phi3: no bump can enter
+            best = search_maximizer(evaluators, t, state, strict=True)[1]
             reason = "entry" if best >= state.phi3(t) else None
     else:
         # the rate at which the held bump decreases V (0.0 - turns a rate of -0.0 into 0.0)
-        p, ev = ctrl.params, evaluators[ctrl.field_index]
-        s_cur = 0.0 - ctrl.sign * float(ev.signed_batch(p.a, p.b, p.eta))
+        ev = evaluators[ctrl.field_index]
+        s_cur = 0.0 - ctrl.sign * float(ev.signed_batch(ctrl.a, ctrl.b, ctrl.eta))
         if s_cur <= state.phi1(t):
             reason = "below_phi1"
         elif not s_cur > (1.0 - state.h) * U:  # else no challenger can beat the margin
-            best = search_maximizer(evaluators, t, state, strict=True)[2]
+            best = search_maximizer(evaluators, t, state, strict=True)[1]
             reason = "challenger" if s_cur <= (1.0 - state.h) * best else None
     s, candidate = s_cur, 0.0
     if reason is not None:
         found = search_maximizer(evaluators, t, state, strict=False)
         ctrl, s = None, 0.0
         # kappa > 0 makes phi2 > 0, so an accepted slope has a definite sign
-        if found is not None and found[2] >= state.phi2(t):
-            params, i, s, signed = found
-            ctrl = ActiveControl(params, -1 if signed > 0 else 1, i)
+        if found is not None and found[1] >= state.phi2(t):
+            ctrl, s = found
         candidate = best if reason == "challenger" else s
         state = replace(state, active=ctrl)
     return (ControlDecision(ctrl, reason is not None, slope=s, current_slope=s_cur,

@@ -147,7 +147,7 @@ def nonlocal_field(kernel: InteractionKernel, mu: Measure) -> Callable[[np.ndarr
     return lambda x: kernel.field_at(x, ax, aw)
 
 
-def ball_cutoff(x, ball: SupportBall, taper: float) -> np.ndarray:
-    """Lipschitz cutoff: 1 inside B(0, R - taper), 0 outside B(0, R)."""
+def ball_cutoff(x, ball: SupportBall) -> np.ndarray:
+    """Lipschitz cutoff: 1 inside B(0, 0.9 R), 0 outside B(0, R), linear between."""
     r = np.abs(np.asarray(x, dtype=float))
-    return ((ball.radius - r) / taper).clip(0.0, 1.0)
+    return ((ball.radius - r) / (ball.radius / 10.0)).clip(0.0, 1.0)

@@ -23,7 +23,7 @@ from .kernels import make_kernel
 from .lyapunov import variance_about
 from .measures import GridMeasure, ParticleMeasure, SupportBall, _grid_geometry, barycenter
 from .rng import default_rng
-from .solver import SolverConfig, TrajectoryLog, evolve
+from .solver import SolverConfig, TrajectoryLog, _is_finite_number, evolve
 
 BUILTIN_SCENARIOS = ("hk_free", "hk_ctrl_h02", "hk_ctrl_h05", "hk_ctrl_h09",
                      "concentration")
@@ -110,13 +110,9 @@ class ScenarioSpec:
     def validate(self) -> "ScenarioSpec":
         """Raise ValueError or KeyError on a config no run can use.  A spec with
         a ``concentration`` dict is the particle demo, any other a grid run."""
-        SolverConfig(self.dt, self.t_end)  # the rules of the time grid
+        SolverConfig(self.dt, self.t_end, self.snapshot_every)  # time grid and snapshot rules
         if not _is_int(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.snapshot_every is not None and not (_is_finite_number(self.snapshot_every)
-                                                    and self.snapshot_every > 0):
-            raise ValueError("snapshot_every must be null or a finite number > 0, "
-                             f"got {self.snapshot_every!r}")
         if self.concentration is not None:
             default = ScenarioSpec(self.name)
             ignored = [k for k in GRID_ONLY_KEYS if getattr(self, k) != getattr(default, k)]
@@ -232,10 +228,6 @@ def detect_clusters(mu: GridMeasure, gap: float, floor: float) -> ClusterReport:
 
 def _is_int(v, lo: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= lo
-
-
-def _is_finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
 
 
 def _interval_cells(spec: ScenarioSpec) -> np.ndarray:

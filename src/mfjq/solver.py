@@ -57,6 +57,13 @@ class SolverConfig:
             raise ValueError(f"t_end {self.t_end} is not a whole number of steps dt={self.dt}")
         if not (type(self.log_every) is int and self.log_every >= 1):
             raise ValueError(f"log_every must be an integer >= 1, got {self.log_every!r}")
+        every = self.snapshot_every
+        if every is not None and not (_is_finite_number(every) and every > 0):
+            raise ValueError(f"snapshot_every must be null or a finite number > 0, got {every!r}")
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
 
 
 CSV_COLUMNS = ["t", "V", "slope", "control_a", "control_b", "control_eta",
@@ -96,8 +103,7 @@ class TrajectoryLog:
         a = b = eta = float("nan")
         sign = 0
         if ctrl is not None:
-            a, b, eta = ctrl.params.a, ctrl.params.b, ctrl.params.eta
-            sign = ctrl.sign
+            a, b, eta, sign = ctrl.a, ctrl.b, ctrl.eta, ctrl.sign
         if self._n == len(self._buf):
             self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
         self._buf[self._n] = (t, V, slope, a, b, eta, sign, mass, sup, lo, hi, div_sup)
@@ -301,14 +307,13 @@ def evolve(mu0: Measure, f: Optional[InteractionKernel], config: SolverConfig,
         raise ValueError("evolve takes a controller or a prescribed control, not both")
     grid = isinstance(mu0, GridMeasure)
     mu = mu0
-    taper = ball.radius / 10.0
     drift = None
     if grid:
         edges = mu.edges
         if f is not None:
             # the drift moves cell contents with velocities at the midpoints
             drift = (f.grid_stencil(mu.dx, mu.n_cells),
-                     ball_cutoff(mu.centers, ball, taper))
+                     ball_cutoff(mu.centers, ball))
 
     state = controller
     log = TrajectoryLog(dt=config.dt, dx=mu.dx if grid else 0.0)
@@ -328,7 +333,7 @@ def evolve(mu0: Measure, f: Optional[InteractionKernel], config: SolverConfig,
         ax, aw = atoms = as_atoms(mu) if grid else (mu.x, mu.weights)
 
         def g_field(x):
-            return CONTROL_KERNEL.field_at(x, ax, aw) * ball_cutoff(x, ball, taper)
+            return CONTROL_KERNEL.field_at(x, ax, aw) * ball_cutoff(x, ball)
 
         ctrl, slope_now, u_fn = None, 0.0, None
         if state is not None:
@@ -351,7 +356,7 @@ def evolve(mu0: Measure, f: Optional[InteractionKernel], config: SolverConfig,
             def velocity(x):  # f[mu] + u g[mu]
                 v = (np.zeros_like(np.asarray(x, dtype=float)) if u_fn is None
                      else np.asarray(u_fn(x), dtype=float) * g_field(x))
-                return v if f is None else f.field_at(x, ax, aw) * ball_cutoff(x, ball, taper) + v
+                return v if f is None else f.field_at(x, ax, aw) * ball_cutoff(x, ball) + v
 
         if k % config.log_every == 0 or k == n_steps:
             lo, hi = _check_support(mu, ball, mu.dx + 1e-9 if grid else 1e-9)

@@ -51,7 +51,7 @@ def suite_oracle() -> list:
             field = (lambda x, a=a, b=b, eta=eta, sgn=sgn:
                      sgn * bump_1d(a, b, eta, x))
         exact = lie_derivative(V, field, mu)
-        approx = lie_derivative_fd_oracle(V, field, mu, tau=1e-4)
+        approx = lie_derivative_fd_oracle(V, field, mu)
         rel = abs(exact - approx) / max(abs(exact), 1e-10)
         worst = max(worst, rel)
     ok = worst <= 1e-5
@@ -77,7 +77,7 @@ def suite_dissipativity() -> list:
         x, y = rng.uniform(-5.0, 5.0, 2)
         mu = ParticleMeasure(np.array([[x], [y]]), np.array([0.5, 0.5]))
         closed = -0.5 * float(hk.phi(x - y)) * (x - y) ** 2
-        fd = lie_derivative_fd_oracle(V, nonlocal_field(kern, mu), mu, tau=1e-4)
+        fd = lie_derivative_fd_oracle(V, nonlocal_field(kern, mu), mu)
         worst = max(worst, abs(closed - fd) / max(abs(closed), 1e-10))
     rows.append(("two-atom closed form vs oracle (rel 1e-5)", worst <= 1e-5,
                  f"worst rel err {worst:.2e}"))

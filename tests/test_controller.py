@@ -63,18 +63,17 @@ def ungated_decide(t, atoms, state, g_fields, V):
 
     def enter(reason):
         found = search_maximizer(evaluators, t, state)
-        if found is not None and found[2] >= state.phi2(t):
-            params, i, _, signed = found
-            return ActiveControl(params, -1 if signed > 0 else 1, i), True, reason
+        if found is not None and found[1] >= state.phi2(t):
+            return found[0], True, reason
         return None, True, reason
 
     found = search_maximizer(evaluators, t, state, strict=True)
-    best = 0.0 if found is None else found[2]
+    best = 0.0 if found is None else found[1]
     ctrl = state.active
     if ctrl is None:
         return enter("entry") if best >= state.phi3(t) else (None, False, None)
-    p = ctrl.params
-    s_cur = -ctrl.sign * float(evaluators[ctrl.field_index].signed_batch(p.a, p.b, p.eta))
+    ev = evaluators[ctrl.field_index]
+    s_cur = -ctrl.sign * float(ev.signed_batch(ctrl.a, ctrl.b, ctrl.eta))
     if s_cur <= state.phi1(t):
         return enter("below_phi1")
     if s_cur <= (1.0 - state.h) * best:
@@ -143,12 +142,12 @@ class TestBumpParams:
 
 
 def test_control_function_contract():
-    p = BumpParams(0.0, 1.0, 0.2)
-    u = ActiveControl(p, -1).u
+    ctrl = ActiveControl(0.0, 1.0, 0.2, -1)
+    u = ctrl.u
     x = np.linspace(-1, 2, 301)
     assert np.max(np.abs(u(x))) <= 1.0
     np.testing.assert_array_equal(u(x), -bump_1d(0.0, 1.0, 0.2, x))
-    assert p.b - p.a + 2 * p.eta == pytest.approx(1.4)
+    assert ctrl.b - ctrl.a + 2 * ctrl.eta == pytest.approx(1.4)
     assert u(np.array([0.5]))[0] == -1.0
 
 
@@ -257,13 +256,13 @@ class TestSlopeCeiling:
         if found is None:
             assert state.eta_min(t, strict=True) > state.c / 2.0 and U == 0.0
         else:
-            assert found[2] <= U
+            assert found[1] <= U
 
     def test_dirac_meets_the_ceiling(self):
         state = ControllerState(c=2.0, h=0.5, radius=10.0)
         ev = SlopeEvaluator(as_atoms(ParticleMeasure.dirac(3.0)), ones, variance_about(0.0))
         U = slope_ceiling([ev], 10.0, state)
-        _, _, s, _ = search_maximizer([ev], 10.0, state, strict=True)
+        _, s = search_maximizer([ev], 10.0, state, strict=True)
         assert s == 6.0 and 6.0 < U < 6.0 + 1e-6
         # at t = 0 strict eta_min = 2 > c/2: nothing is admissible
         assert slope_ceiling([ev], 0.0, state) == 0.0
@@ -363,12 +362,25 @@ class TestSearchMaximizer:
         mu = ParticleMeasure.dirac(3.0)
         V = variance_about(0.0)
         ev = SlopeEvaluator(as_atoms(mu), ones, V)
-        params, i, s, signed = search_maximizer([ev], 10.0, state)
-        assert i == 0
+        ctrl, s = search_maximizer([ev], 10.0, state)
+        assert ctrl.sign == -1 and ctrl.field_index == 0  # V rises along +bump
         assert s == pytest.approx(6.0)   # |2 * 3.0| * mass 1
-        assert signed == pytest.approx(6.0)
-        lo, hi = params.a - params.eta, params.b + params.eta
+        lo, hi = ctrl.a - ctrl.eta, ctrl.b + ctrl.eta
         assert lo <= 3.0 <= hi
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_control_decreases_V_at_its_slope(self, seed):
+        """The control returned decreases V at exactly the slope returned with it."""
+        rng = np.random.default_rng(seed)
+        V = variance_about(0.0)
+        clouds = [(f"cloud{k}", random_particles(rng, int(rng.integers(1, 60))),
+                   (ones, np.sin), ControllerState(c=rng.uniform(0.8, 3.0), h=0.5, radius=6.0),
+                   rng.uniform(5.0, 20.0), bool(k % 2)) for k in range(4)]
+        for name, mu, fields, state, t, strict in clip_cases(seed) + clouds:
+            evaluators = [SlopeEvaluator(as_atoms(mu), g, V) for g in fields]
+            ctrl, s = search_maximizer(evaluators, t, state, strict)
+            ev = evaluators[ctrl.field_index]
+            assert -ctrl.sign * ev.signed_batch(ctrl.a, ctrl.b, ctrl.eta) == s, name
 
     def test_against_finer_scan(self):
         """Refined search is within 2% of an exhaustive 10x-finer scan."""
@@ -378,7 +390,7 @@ class TestSearchMaximizer:
         ev = SlopeEvaluator(as_atoms(mu), ones, V)
         state = ControllerState(c=2.0, h=0.5, radius=6.0)
         t = 10.0
-        _, _, s, _ = search_maximizer([ev], t, state)
+        _, s = search_maximizer([ev], t, state)
         # 640 centres x 160 widths x 16 ramp widths spanning the admissible set
         m, frac, e = np.meshgrid(np.linspace(-6.0, 6.0, 640), np.linspace(0.0, 1.0, 160),
                                  np.linspace(state.eta_min(t), state.c / 2.0, 16),
@@ -402,8 +414,8 @@ class TestSearchMaximizer:
                 sizes.clear()
                 want = search_maximizer(evaluators, t, state, strict)
             assert n_distinct < sum(sizes), name
-            bits = [[float(v).hex() for v in (p.a, p.b, p.eta, *rest)]
-                    for p, *rest in (got, want)]
+            bits = [[float(v).hex() for v in (c.a, c.b, c.eta, c.sign, c.field_index, s)]
+                    for c, s in (got, want)]
             assert bits[0] == bits[1], name
             # the clip each case is built for bites at the answer
             p, eta_lo = got[0], state.eta_min(t, strict)
@@ -421,8 +433,8 @@ class TestSearchMaximizer:
         sizes = count_candidates(monkeypatch)
         _, mu, fields, state, t, strict = clip_cases(0)[0]
         ev = SlopeEvaluator(as_atoms(mu), fields[0], variance_about(0.0))
-        params, *_ = search_maximizer([ev], t, state, strict)
-        assert params.eta == state.eta_min(t, strict)
+        ctrl, _ = search_maximizer([ev], t, state, strict)
+        assert ctrl.eta == state.eta_min(t, strict)
         assert len(sizes) == 4  # the probe, the coarse round and two refinement rounds
         assert all(n < N_A * N_W * N_ETA / 4 for n in sizes[2:]), sizes
 
@@ -450,11 +462,11 @@ class TestSearchMaximizer:
                               lambda self, lo, hi, eta_min: (np.full(np.shape(lo), np.inf), 0.0))
                 sizes.clear()
                 want = search_maximizer(evaluators, t, state, strict)
-            bits = [[float(v).hex() for v in (p.a, p.b, p.eta, *rest)]
-                    for p, *rest in (got, want)]
+            bits = [[float(v).hex() for v in (c.a, c.b, c.eta, c.sign, c.field_index, s)]
+                    for c, s in (got, want)]
             assert bits[0] == bits[1], name
             if name == "dirac":
-                assert got[2] == 0.0 and n_pruned == sum(sizes)
+                assert got[1] == 0.0 and n_pruned == sum(sizes)
             else:
                 assert n_pruned < sum(sizes), name
 
@@ -476,7 +488,7 @@ class TestSearchMaximizer:
         outs = [search_maximizer([SlopeEvaluator(as_atoms(mu), ones, V)], 5.0, state)
                 for _ in range(2)]
         assert outs[0][0].a == outs[1][0].a
-        assert outs[0][2] == outs[1][2]
+        assert outs[0][1] == outs[1][1]
 
 
 class TestStateMachine:
@@ -554,7 +566,7 @@ class TestStateMachine:
         """The hold reads the signed rate: a bump whose mass sits on the other
         side of V's centre raises V, and is dropped however steep it is."""
         V = variance_about(0.0)
-        held = ActiveControl(BumpParams(-1.5, -0.5, 0.25), -1)  # pushes x = -1 outward
+        held = ActiveControl(-1.5, -0.5, 0.25, -1)  # pushes x = -1 outward
         state = self.mk_state(active=held)
         dec, new = decide_multi(10.0, as_atoms(ParticleMeasure.dirac(-1.0)), state, (ones,), V)
         assert dec.switched and dec.reason == "below_phi1"
@@ -580,7 +592,7 @@ class TestStateMachine:
             t = 2.0 + 0.1 * k
             dec, state = decide_multi(t, as_atoms(mu), state, (ones,), V)
             if dec.control is not None:
-                p = dec.control.params
+                p = dec.control
                 assert p.b - p.a + 2 * p.eta <= state.c + 1e-12
-                assert abs(dec.control.sign) == 1
+                assert abs(p.sign) == 1
                 assert 1.0 / p.eta <= state.kappa * (1.0 + t) + 1e-9

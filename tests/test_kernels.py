@@ -134,14 +134,14 @@ class TestBallCutoff:
     def test_shape(self):
         ball = SupportBall(10.0)
         x = np.array([0.0, 8.9, 9.5, 10.0, -11.0])
-        np.testing.assert_allclose(ball_cutoff(x, ball, 1.0),
+        np.testing.assert_allclose(ball_cutoff(x, ball),
                                    [1.0, 1.0, 0.5, 0.0, 0.0])
 
     def test_truncated_field_vanishes_outside(self):
         # the solvers truncate every velocity field this way
         ball = SupportBall(2.0)
         x = np.array([0.0, 1.4, 2.5])
-        np.testing.assert_allclose(np.ones_like(x) * ball_cutoff(x, ball, 0.5),
+        np.testing.assert_allclose(np.ones_like(x) * ball_cutoff(x, ball),
                                    [1.0, 1.0, 0.0])
 
 
@@ -203,7 +203,7 @@ class TestBlockedFieldMatrix:
         half = float(rng.uniform(1.0, 12.0))
         c = GridMeasure(-half, half, np.full(cells, 1.0 / cells)).centers
         ball = SupportBall(half)
-        cut = ball_cutoff(c, ball, half / 10.0)
+        cut = ball_cutoff(c, ball)
         K = HK.field_matrix(c, c)
         product = cut[:, None] * K
         K *= cut[:, None]

@@ -55,7 +55,7 @@ class TestLieDerivative:
         mu = random_particles(rng, int(rng.integers(2, 50)))
         field = random_field(rng)
         exact = lie_derivative(V, field, mu)
-        approx = lie_derivative_fd_oracle(V, field, mu, tau=1e-4)
+        approx = lie_derivative_fd_oracle(V, field, mu)
         assert abs(exact - approx) <= 1e-5 * max(abs(exact), 1e-10)
 
     @given(lam=st.floats(-10, 10), seed=st.integers(0, 1000))
@@ -85,12 +85,6 @@ class TestLieDerivative:
         V = variance_about(0.0)
         mu = ParticleMeasure.dirac(1.0)
         assert lie_derivative(V, lambda x: np.zeros_like(x), mu) == 0.0
-
-    def test_oracle_tau_validation(self):
-        V = variance_about(0.0)
-        with pytest.raises(ValueError):
-            lie_derivative_fd_oracle(V, lambda x: x, ParticleMeasure.dirac(0.0),
-                                     tau=0.0)
 
 
 def rk4_reference(x, field, h):
@@ -159,7 +153,7 @@ class TestBatchedFlow:
         assert both[n:].tobytes() == xm.tobytes()
         vp = float(np.dot(V.v(xp), mu.weights))
         vm = float(np.dot(V.v(xm), mu.weights))
-        assert lie_derivative_fd_oracle(V, field, mu, tau) == (vp - vm) / (2.0 * tau)
+        assert lie_derivative_fd_oracle(V, field, mu) == (vp - vm) / (2.0 * tau)
 
 
 class TestDissipativity:

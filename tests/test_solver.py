@@ -102,7 +102,7 @@ class TestStencilVelocity:
         mu = GridMeasure(-half, half, m / m.sum() if m.any() else np.full(cells, 1 / cells))
         c = mu.centers
         kern = HKKernel(eps).interaction()
-        cut = ball_cutoff(c, SupportBall(half), half / 10.0)
+        cut = ball_cutoff(c, SupportBall(half))
         v = stencil_velocity(mu.cell_mass, kern.grid_stencil(mu.dx, cells), cut)
         dense = cut * (kern.field_matrix(c, c) @ mu.cell_mass)
         assert np.abs(v - dense).max() <= 1e-14
@@ -490,9 +490,12 @@ def test_solver_config_validation():
            (dict(dt=0.01, t_end=1.0, log_every=0), "log_every must be an integer >= 1"),
            (dict(dt=0.01, t_end=1.0, log_every=2.0), "log_every must be an integer >= 1"),
            (dict(dt=0.01, t_end=1.0, log_every=True), "log_every must be an integer >= 1")]
+    bad += [(dict(dt=0.01, t_end=1.0, snapshot_every=v), "snapshot_every must be null or a finite")
+            for v in (0, -1, float("nan"), float("inf"), True)]
     for kw, message in bad:
         with pytest.raises(ValueError, match=message):
             SolverConfig(**kw)
+    SolverConfig(dt=0.01, t_end=1.0, snapshot_every=np.float64(0.5))  # a numpy float is a number
     # whole up to roundoff: 0.3 / 0.1 is 2.9999999999999996
     cfg = SolverConfig(dt=0.1, t_end=0.3, log_every=2)
     log = evolve(ParticleMeasure.dirac(0.0), None, cfg,
